@@ -24,7 +24,7 @@ from .driver import (
     step_selection,
 )
 from .errors import DegenerateFactorizationError, EmptyHistoryError, LineSearchError
-from .pairs import CurvaturePair, PairBuffer
+from .pairs import PairBuffer
 from .problems import PROBLEM_NAMES, Problem, fd_check, get, registry
 from .spectral import (
     CompactMiddle,
@@ -37,8 +37,6 @@ from .spectral import (
     sc_norm,
 )
 from .subproblem import (
-    DecoupledProblem,
-    SubproblemSolution,
     assemble_step,
     model_reduction,
     solve_parallel,
@@ -48,7 +46,6 @@ from .subproblem import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurvaturePair",
     "PairBuffer",
     "CompactMiddle",
     "SpectralFactorization",
@@ -63,8 +60,6 @@ __all__ = [
     "build_inverse",
     "unconstrained_step",
     "unconstrained_norm",
-    "DecoupledProblem",
-    "SubproblemSolution",
     "solve_parallel",
     "solve_perp_beta",
     "assemble_step",

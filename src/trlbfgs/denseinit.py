@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .pairs import CurvaturePair, PairBuffer
+from .pairs import PairBuffer
 
 __all__ = ["InitPolicy", "InverseRep", "build_inverse", "unconstrained_step", "unconstrained_norm"]
 
@@ -40,11 +40,11 @@ class InitPolicy:
         self.gamma: float | None = None
         self.gamma_max: float | None = None
 
-    def update_gamma(self, pair: CurvaturePair) -> None:
-        """Set ``gamma = y^T y / s^T y`` from an accepted pair and track the max."""
-        if pair.sy <= 0.0:
+    def update_gamma(self, sy: float, yy: float) -> None:
+        """Set ``gamma = y^T y / s^T y`` from an accepted pair's products and track the max."""
+        if sy <= 0.0:
             raise ValueError("update_gamma needs an accepted pair (s^T y > 0)")
-        self.gamma = pair.yy / pair.sy
+        self.gamma = float(yy) / float(sy)
         self.gamma_max = self.gamma if self.gamma_max is None else max(self.gamma_max, self.gamma)
 
     def gamma_perp(self) -> float:

@@ -295,7 +295,7 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     if not np.all(np.isfinite(g1)):
         return result(STATUS_FAILED, fx, g, 0, 0, f_evals, g_evals)
     if buffer.try_push(x1 - x, g1 - g, config.c3):
-        policy.update_gamma(buffer.pairs[-1])
+        policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
     x, fx, g = x1, f1, g1
 
     delta = config.delta0
@@ -342,7 +342,7 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
                 status = STATUS_FAILED
                 break
             if buffer.try_push(p, g_new - g, config.c3):
-                policy.update_gamma(buffer.pairs[-1])
+                policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
                 factors_stale = True
             x, fx, g = x_new, f_trial, g_new
             iterations += 1

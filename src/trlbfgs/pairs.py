@@ -2,29 +2,17 @@
 
 A :class:`PairBuffer` holds the ``m`` most recent accepted pairs ``(s, y)``
 (oldest first) together with the small cross-product blocks ``S^T S``,
-``S^T Y`` and ``Y^T Y``.  The blocks are maintained incrementally, one
-appended row/column per accepted pair, so the n-dimensional work per push
-stays O(m n).
+``S^T Y`` and ``Y^T Y``.  Each pair is stored once, as one row of a
+preallocated ``(m, n)`` array per vector, and the blocks are maintained
+incrementally, one appended row/column per accepted pair, so the
+n-dimensional work per push stays O(m n).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyHistoryError
 
-__all__ = ["CurvaturePair", "PairBuffer"]
-
-
-@dataclass(frozen=True)
-class CurvaturePair:
-    """One accepted pair: step ``s``, gradient difference ``y``, cached scalars."""
-
-    s: np.ndarray
-    y: np.ndarray
-    sy: float
-    ss: float
-    yy: float
+__all__ = ["PairBuffer"]
 
 
 class PairBuffer:
@@ -32,6 +20,8 @@ class PairBuffer:
 
     Attributes:
         S, Y: n-by-m' column matrices of the stored pairs, oldest first.
+            They are views of the row storage: the next accepted pair may
+            overwrite them, so copy what must outlive a push.
         gram_SS, gram_SY, gram_YY: cached m'-by-m' blocks ``S^T S``,
             ``S^T Y`` and ``Y^T Y``.
         rejected: number of pairs turned away by the acceptance test.
@@ -42,9 +32,10 @@ class PairBuffer:
             raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
         self.n = int(n)
         self.m = int(m)
-        self.pairs: list[CurvaturePair] = []
-        self.S = np.empty((self.n, 0))
-        self.Y = np.empty((self.n, 0))
+        self.count = 0
+        # Row i holds the i-th oldest pair, so S^T x is a contiguous gemv.
+        self._s_rows = np.empty((self.m, self.n))
+        self._y_rows = np.empty((self.m, self.n))
         self.gram_SS = np.empty((0, 0))
         self.gram_SY = np.empty((0, 0))
         self.gram_YY = np.empty((0, 0))
@@ -54,11 +45,15 @@ class PairBuffer:
         self._recompute_grams = bool(recompute_grams)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.count
 
     @property
-    def count(self) -> int:
-        return len(self.pairs)
+    def S(self) -> np.ndarray:
+        return self._s_rows[: self.count].T
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self._y_rows[: self.count].T
 
     def try_push(self, s, y, c3: float) -> bool:
         """Append ``(s, y)`` if it passes ``s^T y > c3 ||s|| ||y||``.
@@ -80,43 +75,43 @@ class PairBuffer:
             self.rejected += 1
             return False
 
-        if len(self.pairs) == self.m:
-            self._evict_oldest()
+        k = self.count
+        if k == self.m:
+            # Evict the oldest pair: shift the rows up by one.  The shift runs
+            # on the flat 1-D view, where numpy copies overlapping memory in
+            # place; a 2-D overlapping assignment would allocate a temporary.
+            for rows in (self._s_rows, self._y_rows):
+                flat = rows.reshape(-1)
+                flat[: -self.n] = flat[self.n :]
+            self.gram_SS = self.gram_SS[1:, 1:].copy()
+            self.gram_SY = self.gram_SY[1:, 1:].copy()
+            self.gram_YY = self.gram_YY[1:, 1:].copy()
+            k -= 1
 
-        # Cross products against the surviving columns, then grow each block.
-        Ss = self.S.T @ s
-        Sy = self.S.T @ y
-        Ys = self.Y.T @ s
-        Yy = self.Y.T @ y
+        # Cross products against the surviving rows, then grow each block.
+        S_rows, Y_rows = self._s_rows[:k], self._y_rows[:k]
+        Ss = S_rows @ s
+        Sy = S_rows @ y
+        Ys = Y_rows @ s
+        Yy = Y_rows @ y
         self.gram_SS = _grow(self.gram_SS, Ss, Ss, ss)
         self.gram_SY = _grow(self.gram_SY, Sy, Ys, sy)
         self.gram_YY = _grow(self.gram_YY, Yy, Yy, yy)
 
-        self.pairs.append(CurvaturePair(s=s.copy(), y=y.copy(), sy=sy, ss=ss, yy=yy))
-        self.S = np.column_stack([p.s for p in self.pairs])
-        self.Y = np.column_stack([p.y for p in self.pairs])
+        self._s_rows[k] = s
+        self._y_rows[k] = y
+        self.count = k + 1
 
         if self._recompute_grams:
-            self.gram_SS = self.S.T @ self.S
-            self.gram_SY = self.S.T @ self.Y
-            self.gram_YY = self.Y.T @ self.Y
+            S, Y = self.S, self.Y
+            self.gram_SS = S.T @ S
+            self.gram_SY = S.T @ Y
+            self.gram_YY = Y.T @ Y
         return True
-
-    def _evict_oldest(self):
-        self.pairs.pop(0)
-        self.gram_SS = self.gram_SS[1:, 1:].copy()
-        self.gram_SY = self.gram_SY[1:, 1:].copy()
-        self.gram_YY = self.gram_YY[1:, 1:].copy()
-        if self.pairs:
-            self.S = np.column_stack([p.s for p in self.pairs])
-            self.Y = np.column_stack([p.y for p in self.pairs])
-        else:
-            self.S = np.empty((self.n, 0))
-            self.Y = np.empty((self.n, 0))
 
     def triangular_views(self):
         """Split ``S^T Y`` into (L, D, T): strictly lower, diagonal, upper with diagonal."""
-        if not self.pairs:
+        if self.count == 0:
             raise EmptyHistoryError("triangular views need at least one stored pair")
         L = np.tril(self.gram_SY, -1)
         T = np.triu(self.gram_SY)
@@ -125,11 +120,10 @@ class PairBuffer:
 
     def violations(self, c3: float) -> int:
         """Count stored pairs that fail the strict acceptance inequality."""
-        return sum(
-            1
-            for p in self.pairs
-            if not p.sy > c3 * np.sqrt(p.ss) * np.sqrt(p.yy)
-        )
+        sy = np.diag(self.gram_SY)
+        ss = np.diag(self.gram_SS)
+        yy = np.diag(self.gram_YY)
+        return int(np.count_nonzero(~(sy > c3 * np.sqrt(ss) * np.sqrt(yy))))
 
 
 def _grow(block: np.ndarray, col: np.ndarray, row: np.ndarray, corner: float) -> np.ndarray:

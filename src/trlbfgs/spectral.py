@@ -112,9 +112,13 @@ def factorize(buffer: PairBuffer, gamma: float, eps_r: float = 1e-14) -> Spectra
     """Rank-detected eigendecomposition of ``Psi M Psi^T``.
 
     The Gram ``Psi^T Psi`` is column-normalized so the rank threshold
-    ``eps_r`` is scale-free, factorized by pivoted Cholesky, and truncated to
-    the pivots whose diagonal factor exceeds ``eps_r``.  The r-by-r core
-    ``R M R^T`` is then eigendecomposed; eigenvalues come back ascending.
+    ``eps_r`` is scale-free, and factorized by pivoted Cholesky (``dpstrf``),
+    which stops at the first pivot ``<= eps_r``.  A pivot is the remaining
+    diagonal of the Schur complement, the square of the factor's diagonal
+    entry, so the retained diagonal of ``U1`` only exceeds ``sqrt(eps_r)``
+    (1e-7 at the default), and the retained basis can be far from
+    orthonormal when that diagonal is small.  The r-by-r core ``R M R^T``
+    is then eigendecomposed; eigenvalues come back ascending.
 
     An empty buffer yields rank 0 (no parallel subspace); the caller treats
     B as a plain multiple of the identity.

@@ -6,39 +6,17 @@ problem on the complementary subspace (two-norm block).  Both admit exact
 minimizers, so no iterative subproblem solver is needed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pairs import PairBuffer
 from .spectral import SpectralFactorization, apply_P_par
 
 __all__ = [
-    "DecoupledProblem",
-    "SubproblemSolution",
     "solve_parallel",
     "solve_perp_beta",
     "assemble_step",
     "model_reduction",
 ]
-
-
-@dataclass(frozen=True)
-class DecoupledProblem:
-    """Inputs of the decoupled solve, all in eigenbasis coordinates."""
-
-    g_par: np.ndarray
-    g_perp_norm: float
-    lambdas: np.ndarray
-    gamma_perp: float
-    radius: float
-
-
-@dataclass(frozen=True)
-class SubproblemSolution:
-    v_par: np.ndarray
-    beta: float
-    model_reduction: float
 
 
 def solve_parallel(

@@ -13,43 +13,43 @@ from oracles import (
 )
 
 
-def make_pair(s, y):
+def products(s, y):
+    """``(s^T y, y^T y)`` of a pair, the arguments of ``update_gamma``."""
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    return t.CurvaturePair(s=s, y=y, sy=float(s @ y), ss=float(s @ s), yy=float(y @ y))
+    return float(s @ y), float(y @ y)
 
 
 def test_update_gamma_formula():
     pol = t.InitPolicy()
-    pol.update_gamma(make_pair([1.0, 0.0], [2.0, 0.0]))
+    pol.update_gamma(*products([1.0, 0.0], [2.0, 0.0]))
     assert pol.gamma == pytest.approx(2.0)
 
 
 def test_update_gamma_identity_pair():
     pol = t.InitPolicy()
-    pol.update_gamma(make_pair([1.0, 2.0], [1.0, 2.0]))
+    pol.update_gamma(*products([1.0, 2.0], [1.0, 2.0]))
     assert pol.gamma == pytest.approx(1.0)
 
 
 def test_gamma_max_is_running_maximum():
     pol = t.InitPolicy()
-    pol.update_gamma(make_pair([1.0, 0.0], [2.0, 0.0]))  # gamma = 2
-    pol.update_gamma(make_pair([2.0, 0.0], [3.0, 0.0]))  # gamma = 1.5
+    pol.update_gamma(*products([1.0, 0.0], [2.0, 0.0]))  # gamma = 2
+    pol.update_gamma(*products([2.0, 0.0], [3.0, 0.0]))  # gamma = 1.5
     assert pol.gamma == pytest.approx(1.5)
     assert pol.gamma_max == pytest.approx(2.0)
 
 
 def test_update_gamma_rejects_nonpositive_curvature():
     pol = t.InitPolicy()
-    bad = t.CurvaturePair(s=np.ones(2), y=np.ones(2), sy=0.0, ss=2.0, yy=2.0)
     with pytest.raises(ValueError):
-        pol.update_gamma(bad)
+        pol.update_gamma(0.0, 2.0)
 
 
 def test_gamma_perp_parameter_table():
     pol = t.InitPolicy(c=1.0, lam=1.0)
-    pol.update_gamma(make_pair([1.0, 0.0], [2.0, 0.0]))  # gamma = 2
-    pol.update_gamma(make_pair([2.0, 0.0], [3.0, 0.0]))  # gamma = 1.5, max 2
+    pol.update_gamma(*products([1.0, 0.0], [2.0, 0.0]))  # gamma = 2
+    pol.update_gamma(*products([2.0, 0.0], [3.0, 0.0]))  # gamma = 1.5, max 2
     assert pol.gamma_perp() == pytest.approx(2.0)  # c=1, lam=1 -> gamma_max
 
     pol2 = t.InitPolicy(c=2.0, lam=1.0)
@@ -85,11 +85,11 @@ def test_equal_scales_reduce_to_classical_inverse():
     inv = t.build_inverse(buf, gamma, gamma)
     assert inv.alpha == 0.0
     # secant equation: B^{-1} y_last = s_last
-    last = buf.pairs[-1]
-    got = -t.unconstrained_step(inv, buf, last.y)
-    assert np.abs(got - last.s).max() <= 1e-10 * max(1.0, np.abs(last.s).max())
+    s_last, y_last = buf.S[:, -1], buf.Y[:, -1]
+    got = -t.unconstrained_step(inv, buf, y_last)
+    assert np.abs(got - s_last).max() <= 1e-10 * max(1.0, np.abs(s_last).max())
     # and the full action equals the dense inverse of the recursion matrix
-    B = bfgs_recursion(gamma * np.eye(n), [(p.s, p.y) for p in buf.pairs])
+    B = bfgs_recursion(gamma * np.eye(n), zip(buf.S.T, buf.Y.T))
     g = rng.standard_normal(n)
     assert np.abs(t.unconstrained_step(inv, buf, g) + np.linalg.solve(B, g)).max() <= 1e-9
 
@@ -113,7 +113,7 @@ def test_inverse_identity_dense():
     fac = t.factorize(buf, gamma)
     P = explicit_P_par(fac, buf, gamma)
     B_hat = bfgs_recursion(
-        dense_B0_hat(P, gamma, gamma_perp, n), [(p.s, p.y) for p in buf.pairs]
+        dense_B0_hat(P, gamma, gamma_perp, n), zip(buf.S.T, buf.Y.T)
     )
     inv = t.build_inverse(buf, gamma, gamma_perp)
     B_hat_inv = np.column_stack(

@@ -10,7 +10,7 @@ def test_accept_collinear_pair():
     buf = PairBuffer(2, 3)
     assert buf.try_push([1.0, 0.0], [2.0, 0.0], 1e-8)
     assert buf.count == 1
-    assert buf.pairs[0].sy == 2.0
+    assert buf.gram_SY[0, 0] == 2.0
 
 
 def test_reject_orthogonal_pair():
@@ -35,12 +35,51 @@ def test_eviction_keeps_count_at_capacity():
     pairs = random_pairs(rng, 10, m + 1)
     for s, y in pairs[:m]:
         assert buf.try_push(s, y, C3)
-    first_sy = buf.pairs[0].sy
+    first_sy = buf.gram_SY[0, 0]
     assert buf.try_push(*pairs[m], C3)
     assert buf.count == m
     # oldest evicted, newest at the end
-    assert buf.pairs[0].sy != first_sy
-    assert buf.pairs[-1].sy == pairs[m][0] @ pairs[m][1]
+    assert buf.gram_SY[0, 0] != first_sy
+    assert buf.gram_SY[-1, -1] == pairs[m][0] @ pairs[m][1]
+
+
+def test_storage_holds_last_m_pairs_in_order():
+    rng = np.random.default_rng(19)
+    n, m = 9, 3
+    buf = PairBuffer(n, m)
+    pairs = random_pairs(rng, n, 2 * m + 1)
+    for s, y in pairs:
+        assert buf.try_push(s, y, C3)
+    assert np.array_equal(buf.S, np.column_stack([s for s, _ in pairs[-m:]]))
+    assert np.array_equal(buf.Y, np.column_stack([y for _, y in pairs[-m:]]))
+
+
+def test_storage_copies_the_pushed_vectors():
+    rng = np.random.default_rng(20)
+    buf = PairBuffer(6, 2)
+    (s, y), = random_pairs(rng, 6, 1)
+    s_ref, y_ref = s.copy(), y.copy()
+    assert buf.try_push(s, y, C3)
+    s[:] = 0.0
+    y *= 2.0
+    assert np.array_equal(buf.S[:, 0], s_ref)
+    assert np.array_equal(buf.Y[:, 0], y_ref)
+
+
+@pytest.mark.parametrize("stored", [1, 3])
+def test_rejected_push_leaves_storage_unchanged(stored):
+    rng = np.random.default_rng(21 + stored)
+    n = 8
+    buf = PairBuffer(n, 3)
+    for s, y in random_pairs(rng, n, stored):
+        assert buf.try_push(s, y, C3)
+    before = [a.copy() for a in (buf.S, buf.Y, buf.gram_SS, buf.gram_SY, buf.gram_YY)]
+    s = rng.standard_normal(n)
+    assert not buf.try_push(s, -s, C3)
+    after = (buf.S, buf.Y, buf.gram_SS, buf.gram_SY, buf.gram_YY)
+    assert buf.count == stored
+    for a, b in zip(after, before):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_dimension_mismatch_raises():
@@ -91,9 +130,9 @@ def test_stored_pairs_satisfy_acceptance_strictly():
     rng = np.random.default_rng(13)
     buf = fill_buffer(rng, 25, 5)
     assert buf.violations(C3) == 0
-    for p in buf.pairs:
-        assert p.sy > C3 * np.sqrt(p.ss) * np.sqrt(p.yy)
-        assert p.ss > 0 and p.yy > 0
+    for sy, ss, yy in zip(np.diag(buf.gram_SY), np.diag(buf.gram_SS), np.diag(buf.gram_YY)):
+        assert sy > C3 * np.sqrt(ss) * np.sqrt(yy)
+        assert ss > 0 and yy > 0
 
 
 def test_triangular_views_single_pair():

@@ -40,7 +40,7 @@ def test_compact_representation_matches_dense_recursion():
     rng = np.random.default_rng(42)
     n, k, gamma = 10, 3, 1.3
     buf = fill_buffer(rng, n, k)
-    pairs = [(p.s, p.y) for p in buf.pairs]
+    pairs = zip(buf.S.T, buf.Y.T)
     B_ref = bfgs_recursion(gamma * np.eye(n), pairs)
     M = t.build_middle(buf, gamma).M
     Psi = np.hstack([gamma * buf.S, buf.Y])
@@ -251,7 +251,7 @@ def test_two_scale_eigendecomposition_identity():
     fac = t.factorize(buf, gamma)
     P = explicit_P_par(fac, buf, gamma)
     B0 = dense_B0_hat(P, gamma, gamma_perp, n)
-    B_rec = bfgs_recursion(B0, [(p.s, p.y) for p in buf.pairs])
+    B_rec = bfgs_recursion(B0, zip(buf.S.T, buf.Y.T))
     B_eig = P @ np.diag(fac.lam_hat + gamma) @ P.T + gamma_perp * (np.eye(n) - P @ P.T)
     assert np.abs(B_rec - B_eig).max() <= 1e-9
 
@@ -265,7 +265,7 @@ def test_parallel_eigenvalues_independent_of_gamma_perp():
     spectra = []
     for gamma_perp in (0.5 * gamma, gamma, 10.0 * gamma):
         B0 = dense_B0_hat(P, gamma, gamma_perp, n)
-        B = bfgs_recursion(B0, [(p.s, p.y) for p in buf.pairs])
+        B = bfgs_recursion(B0, zip(buf.S.T, buf.Y.T))
         spectra.append(np.sort(np.linalg.eigvalsh(P.T @ B @ P)))
     for lam in spectra[1:]:
         assert np.abs(lam - spectra[0]).max() <= 1e-12 * max(1.0, np.abs(spectra[0]).max())

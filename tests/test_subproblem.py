@@ -121,7 +121,7 @@ def test_model_reduction_matches_dense_quadratic():
     from oracles import bfgs_recursion
 
     B_hat = bfgs_recursion(
-        dense_B0_hat(P, gamma, gamma_perp, n), [(p.s, p.y) for p in buf.pairs]
+        dense_B0_hat(P, gamma, gamma_perp, n), zip(buf.S.T, buf.Y.T)
     )
     g = rng.standard_normal(n)
     delta = 0.4
@@ -146,7 +146,7 @@ def test_separability_no_cross_terms():
     from oracles import bfgs_recursion
 
     B_hat = bfgs_recursion(
-        dense_B0_hat(P, gamma, gamma_perp, n), [(p.s, p.y) for p in buf.pairs]
+        dense_B0_hat(P, gamma, gamma_perp, n), zip(buf.S.T, buf.Y.T)
     )
     g = rng.standard_normal(n)
     # any decomposed point p = P v_par + perp part

@@ -27,7 +27,6 @@ from .errors import DegenerateFactorizationError, EmptyHistoryError, LineSearchE
 from .pairs import PairBuffer
 from .problems import PROBLEM_NAMES, Problem, fd_check, get, registry
 from .spectral import (
-    CompactMiddle,
     SpectralFactorization,
     apply_P_par,
     apply_P_par_T,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PairBuffer",
-    "CompactMiddle",
     "SpectralFactorization",
     "build_middle",
     "factorize",

@@ -48,7 +48,6 @@ __all__ = [
     "main",
 ]
 
-ENV_OUT_DIR = "BENCH_OUT"
 DEFAULT_OUT_DIR = "bench_out"
 CSV_COLUMNS = (
     "problem",
@@ -340,28 +339,6 @@ def load_records(path) -> tuple[list[RunRecord], dict]:
     return records, payload.get("meta", {})
 
 
-def _read_config_file(path) -> dict:
-    """key=value lines; '#' starts a comment. Values override CLI flags."""
-    overrides = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"bad config line {raw!r}; expected key=value")
-        overrides[key.strip().replace("-", "_")] = value.strip()
-    return overrides
-
-
-def _resolve_out(args_out: str | None, overrides: dict) -> str:
-    if "out" in overrides:
-        return overrides["out"]
-    if args_out is not None:
-        return args_out
-    return os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR)
-
-
 def _environment() -> dict:
     """What step counts and times depend on besides the code; unset variables are None."""
     return {
@@ -374,41 +351,34 @@ def _environment() -> dict:
 
 
 def _cmd_run(args) -> int:
-    overrides = _read_config_file(args.config) if args.config else {}
-    problems_arg = overrides.get("problems", args.problems)
-    n = int(overrides.get("n", args.n))
-    solvers_arg = overrides.get("solvers", args.solvers)
-    reps = int(overrides.get("reps", args.reps))
-    discard = int(overrides.get("discard", args.discard))
-    epsilon = float(overrides.get("epsilon", args.epsilon))
-    m = int(overrides.get("m", args.m))
-    max_iter = int(overrides.get("max_iter", args.max_iter))
-    stop_rule = overrides.get("stop_rule", args.stop_rule)
-    delta0 = float(overrides.get("delta0", args.delta0))
-    out_dir = _resolve_out(args.out, overrides)
-
-    names = list(PROBLEM_NAMES) if problems_arg == "all" else [
-        s.strip() for s in problems_arg.split(",") if s.strip()
+    names = list(PROBLEM_NAMES) if args.problems == "all" else [
+        s.strip() for s in args.problems.split(",") if s.strip()
     ]
-    problems = [get(name, n) for name in names]
-    base = dict(m=m, epsilon=epsilon, max_iter=max_iter, stop_rule=stop_rule, delta0=delta0)
+    problems = [get(name, args.n) for name in names]
+    base = dict(
+        m=args.m,
+        epsilon=args.epsilon,
+        max_iter=args.max_iter,
+        stop_rule=args.stop_rule,
+        delta0=args.delta0,
+    )
     configs = []
-    for spec in split_solver_specs(solvers_arg):
+    for spec in split_solver_specs(args.solvers):
         solver_id, solver_overrides = parse_solver_spec(spec)
         configs.append((solver_id, SolverConfig(**base, **solver_overrides)))
 
-    records = run_suite(configs, problems, repetitions=reps, discard=discard)
+    records = run_suite(configs, problems, repetitions=args.reps, discard=args.discard)
     meta = {
-        "n": n,
-        "repetitions": reps,
-        "discard": discard,
+        "n": args.n,
+        "repetitions": args.reps,
+        "discard": args.discard,
         "problems": names,
-        "solver_specs": split_solver_specs(solvers_arg),
+        "solver_specs": split_solver_specs(args.solvers),
         "solver_config_base": base,
         "environment": _environment(),
     }
-    paths = emit(records, [], "csv", out_dir)
-    paths += emit(records, [], "json", out_dir, meta=meta)
+    paths = emit(records, [], "csv", args.out)
+    paths += emit(records, [], "json", args.out, meta=meta)
     for r in records:
         print(
             f"{r.solver_id} {r.problem} n={r.n}: {r.status}, "
@@ -420,15 +390,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    overrides = _read_config_file(args.config) if args.config else {}
-    in_dir = Path(overrides.get("in", args.in_dir))
-    metric = overrides.get("metric", args.metric)
-    fmt = overrides.get("format", args.format)
-    out_dir = overrides.get("out", args.out) or in_dir
-
+    in_dir = Path(args.in_dir)
     records, _ = load_records(in_dir / "records.json")
-    curves = performance_profile(records, metric) if fmt == "tsv-profile" else []
-    paths = emit(records, curves, fmt, out_dir)
+    curves = performance_profile(records, args.metric) if args.format == "tsv-profile" else []
+    paths = emit(records, curves, args.format, args.out or in_dir)
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -451,7 +416,7 @@ def main(argv=None) -> int:
     )
     run_p.add_argument("--reps", type=int, default=10)
     run_p.add_argument("--discard", type=int, default=2, help="warm-up runs dropped from timing")
-    run_p.add_argument("--out", default=None, help=f"output directory (or ${ENV_OUT_DIR})")
+    run_p.add_argument("--out", default=DEFAULT_OUT_DIR, help="output directory")
     run_p.add_argument("--epsilon", type=float, default=1e-10)
     run_p.add_argument("--m", type=int, default=5)
     run_p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
@@ -462,7 +427,6 @@ def main(argv=None) -> int:
         dest="stop_rule",
     )
     run_p.add_argument("--delta0", type=float, default=1.0)
-    run_p.add_argument("--config", default=None, help="key=value file overriding flags")
     run_p.set_defaults(func=_cmd_run)
 
     prof_p = sub.add_parser("profile", help="compute performance profiles from records")
@@ -470,7 +434,6 @@ def main(argv=None) -> int:
     prof_p.add_argument("--in", dest="in_dir", required=True, help="directory with records.json")
     prof_p.add_argument("--format", default="tsv-profile", choices=["csv", "json", "tsv-profile"])
     prof_p.add_argument("--out", default=None, help="output directory (defaults to --in)")
-    prof_p.add_argument("--config", default=None, help="key=value file overriding flags")
     prof_p.set_defaults(func=_cmd_profile)
 
     args = parser.parse_args(argv)

@@ -6,7 +6,8 @@ the subspace where curvature has been observed and a more conservative scale
 complement.  Products with the inverse of the resulting quasi-Newton matrix
 use a compact representation built from ``V = [S, Y]`` and cost O(m n); the
 norm of the full quasi-Newton step is available in O(m^2) without forming the
-step itself.
+step itself.  The representation depends only on the stored pairs and the two
+scales, so the driver builds it once per accepted pair.
 """
 
 from dataclasses import dataclass
@@ -56,43 +57,35 @@ class InitPolicy:
 
 @dataclass(frozen=True)
 class InverseRep:
-    """Factors of ``B^{-1} = (1/gamma_perp) I + V M_hat V^T`` with ``V = [S, Y]``.
+    """Small matrices of ``B^{-1} = (1/gamma_perp) I + V M_hat V^T`` with ``V = [S, Y]``.
 
-    ``alpha = 1/gamma - 1/gamma_perp`` weights the correction that retargets
-    the identity term from gamma to gamma_perp on Range(V); with
-    ``gamma_perp == gamma`` it vanishes and the representation reduces to the
-    classical compact inverse.  ``R_V`` is the Cholesky factor of ``V^T V``
-    (None when the rank-deficient fallback was taken).
+    ``M_hat`` is the 2m'-by-2m' middle matrix and ``VtV`` the Gram ``V^T V``
+    that the step norm needs; both change only when a pair is accepted.
     """
 
-    T: np.ndarray
-    R_V: np.ndarray | None
     M_hat: np.ndarray
-    alpha: float
-    gamma: float
+    VtV: np.ndarray
     gamma_perp: float
 
 
 def build_inverse(buffer: PairBuffer, gamma: float, gamma_perp: float) -> InverseRep:
     """Assemble the 2m'-by-2m' middle matrix of the inverse representation.
 
-    All work happens in 2m' dimensions (triangular solves against T and R_V).
-    When ``V^T V`` is numerically rank-deficient the correction term falls
-    back to a thresholded eigendecomposition of the column-normalized Gram;
-    the result acts identically inside the ``V (.) V^T`` sandwich.
+    All work happens in 2m' dimensions: triangular solves against the upper
+    triangle T of ``S^T Y`` and the Cholesky factor of ``V^T V``.  The
+    correction ``alpha = 1/gamma - 1/gamma_perp`` retargets the identity term
+    from gamma to gamma_perp on Range(V); with ``gamma_perp == gamma`` it
+    vanishes and ``M_hat`` is the classical compact inverse's middle matrix.
+    When ``V^T V`` is numerically rank-deficient the correction falls back to
+    a thresholded eigendecomposition of the column-normalized Gram; the result
+    acts identically inside the ``V (.) V^T`` sandwich.
     """
     if gamma_perp <= 0.0:
         raise ValueError(f"gamma_perp must be positive, got {gamma_perp}")
     k = buffer.count
     if k == 0:
-        return InverseRep(
-            T=np.empty((0, 0)),
-            R_V=np.empty((0, 0)),
-            M_hat=np.empty((0, 0)),
-            alpha=0.0,
-            gamma=float(gamma),
-            gamma_perp=float(gamma_perp),
-        )
+        empty = np.empty((0, 0))
+        return InverseRep(M_hat=empty, VtV=empty, gamma_perp=float(gamma_perp))
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     _, D, T = buffer.triangular_views()
@@ -110,29 +103,16 @@ def build_inverse(buffer: PairBuffer, gamma: float, gamma_perp: float) -> Invers
     M_hat[k:, k:] = 0.0
 
     alpha = 1.0 / gamma - 1.0 / gamma_perp
+    # The Gram blocks are exactly symmetric, so VtV is too.
     VtV = np.block([[buffer.gram_SS, buffer.gram_SY], [buffer.gram_SY.T, YY]])
-    VtV = 0.5 * (VtV + VtV.T)
-    R_V = None
     if alpha != 0.0:
         try:
-            R_V = cholesky(VtV, lower=False)
-            Rinv = solve_triangular(R_V, np.eye(2 * k), lower=False)
+            R = cholesky(VtV, lower=False)
+            Rinv = solve_triangular(R, np.eye(2 * k), lower=False)
             M_hat += alpha * (Rinv @ Rinv.T)
         except np.linalg.LinAlgError:
             M_hat += alpha * _gram_pinv(VtV)
-    else:
-        try:
-            R_V = cholesky(VtV, lower=False)
-        except np.linalg.LinAlgError:
-            R_V = None  # unused when alpha == 0
-    return InverseRep(
-        T=T,
-        R_V=R_V,
-        M_hat=0.5 * (M_hat + M_hat.T),
-        alpha=float(alpha),
-        gamma=float(gamma),
-        gamma_perp=float(gamma_perp),
-    )
+    return InverseRep(M_hat=0.5 * (M_hat + M_hat.T), VtV=VtV, gamma_perp=float(gamma_perp))
 
 
 def _gram_pinv(G: np.ndarray, rel_tol: float = 1e-14) -> np.ndarray:
@@ -152,45 +132,25 @@ def _gram_pinv(G: np.ndarray, rel_tol: float = 1e-14) -> np.ndarray:
     return (Qk / w[keep]) @ Qk.T
 
 
-def _v_t_dot(buffer: PairBuffer, g: np.ndarray) -> np.ndarray:
-    """``V^T g = [S^T g; Y^T g]``."""
-    return np.concatenate([buffer.S.T @ g, buffer.Y.T @ g])
-
-
-def unconstrained_step(
-    inv: InverseRep, buffer: PairBuffer, g: np.ndarray, u: np.ndarray | None = None
-) -> np.ndarray:
-    """Full quasi-Newton step ``-B^{-1} g`` in O(m n).
-
-    ``u`` may carry a precomputed ``V^T g`` so the driver evaluates it once
-    per iteration.
-    """
+def unconstrained_step(inv: InverseRep, buffer: PairBuffer, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Full quasi-Newton step ``-B^{-1} g`` in O(m n), given ``u = V^T g``."""
     if buffer.count == 0:
         return -g / inv.gamma_perp
-    if u is None:
-        u = _v_t_dot(buffer, g)
     w = inv.M_hat @ u
     k = buffer.count
     return -(g / inv.gamma_perp + buffer.S @ w[:k] + buffer.Y @ w[k:])
 
 
-def unconstrained_norm(
-    inv: InverseRep, buffer: PairBuffer, g: np.ndarray, u: np.ndarray | None = None
-) -> float:
-    """Two-norm of the full quasi-Newton step without forming it.
+def unconstrained_norm(inv: InverseRep, g: np.ndarray, u: np.ndarray) -> float:
+    """Two-norm of the full quasi-Newton step without forming it, given ``u = V^T g``.
 
     Expands ``g^T B^{-2} g`` in the 2m'-dimensional space:
     ``||g||^2/gamma_perp^2 + (2/gamma_perp) u^T M_hat u + w^T (V^T V) w`` with
     ``w = M_hat u``; only small-matrix products and one ``||g||`` remain.
     """
     gg = float(g @ g)
-    if buffer.count == 0:
+    if u.size == 0:
         return float(np.sqrt(gg)) / inv.gamma_perp
-    if u is None:
-        u = _v_t_dot(buffer, g)
     w = inv.M_hat @ u
-    VtV = np.block(
-        [[buffer.gram_SS, buffer.gram_SY], [buffer.gram_SY.T, buffer.gram_YY]]
-    )
-    val = gg / inv.gamma_perp**2 + 2.0 / inv.gamma_perp * float(u @ w) + float(w @ (VtV @ w))
+    val = gg / inv.gamma_perp**2 + 2.0 / inv.gamma_perp * float(u @ w) + float(w @ (inv.VtV @ w))
     return float(np.sqrt(max(0.0, val)))

@@ -6,6 +6,11 @@ If it fits it is the exact subproblem solution (by norm equivalence) and is
 taken directly; otherwise the subproblem is solved exactly in decoupled
 closed form.  Acceptance and radius updates follow the classical ratio
 test, with the step measured in the shape-changing norm.
+
+Everything that depends only on the stored pairs (the scales gamma and
+gamma_perp, the spectral factorization and the compact inverse) is rebuilt
+once per accepted pair, not once per step.  A run whose radius falls below
+the resolution of x, ``eps*max(1, ||x||)``, stops with status ``stalled``.
 """
 
 import math
@@ -34,6 +39,7 @@ __all__ = [
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_FAILED = "numerical_failure"
+STATUS_STALLED = "stalled"
 
 STOP_RELATIVE = "relative-two-norm"
 STOP_ABSOLUTE = "absolute-inf-norm"
@@ -139,9 +145,9 @@ class InitialStep(NamedTuple):
     f_evals: int
 
 
-def _stopped(x: np.ndarray, g: np.ndarray, config: SolverConfig) -> bool:
+def _stopped(x_norm: float, g: np.ndarray, config: SolverConfig) -> bool:
     if config.stop_rule == STOP_RELATIVE:
-        return np.linalg.norm(g) <= config.epsilon * max(1.0, np.linalg.norm(x))
+        return np.linalg.norm(g) <= config.epsilon * max(1.0, x_norm)
     return np.max(np.abs(g)) <= config.epsilon
 
 
@@ -202,36 +208,33 @@ def initial_point_step(
 def step_selection(
     buffer: PairBuffer,
     fac,
+    inv,
     g: np.ndarray,
     delta: float,
-    config: SolverConfig,
-    gamma: float,
     gamma_perp: float,
 ) -> StepChoice:
     """Pick the trial step: full quasi-Newton step if it fits, else exact solve.
 
-    With ``dense_everywhere`` off, the cheap test and the full step use the
-    single-scale inverse (perpendicular scale = gamma) while the constrained
-    branch still applies the two-scale initialization.
+    ``fac`` is the spectral factorization and ``inv`` the compact inverse of
+    the current pairs.  The cheap test and the full step use ``inv``, whose
+    perpendicular scale the caller chose (gamma itself when the two-scale
+    initialization is confined to the constrained branch); the constrained
+    branch applies ``gamma_perp``.  ``V^T g`` is formed once and serves both.
     """
-    unc_perp = gamma_perp if config.dense_everywhere else gamma
-    inv = build_inverse(buffer, gamma, unc_perp)
-    u = None
-    if buffer.count:
-        u = np.concatenate([buffer.S.T @ g, buffer.Y.T @ g])
-    pu_norm = unconstrained_norm(inv, buffer, g, u)
+    u = buffer.vt_dot(g)
+    pu_norm = unconstrained_norm(inv, g, u)
     if pu_norm <= delta:
         p = unconstrained_step(inv, buffer, g, u)
         # Exact model value of the unconstrained minimizer: -0.5 g^T B^{-1} g.
         return StepChoice(p, True, 0.5 * float(g @ p))
 
-    g_par = apply_P_par_T(fac, buffer, gamma, g)
+    g_par = apply_P_par_T(fac, u)
     gp_norm = float(np.sqrt(perp_norm_sq(g, g_par)))
-    lambdas = fac.lam_hat + gamma
-    zero_tol = 1e-12 * max(1.0, abs(gamma))
+    lambdas = fac.lam_hat + fac.gamma
+    zero_tol = 1e-12 * max(1.0, abs(fac.gamma))
     v_par = solve_parallel(g_par, lambdas, delta, zero_tol)
     beta = solve_perp_beta(gamma_perp, gp_norm, delta)
-    p = assemble_step(beta, g, g_par, v_par, fac, buffer, gamma)
+    p = assemble_step(beta, g, g_par, v_par, fac, buffer)
     q = model_reduction(v_par, beta, g_par, gp_norm, lambdas, gamma_perp)
     return StepChoice(p, False, q)
 
@@ -243,7 +246,8 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     The first move is a backtracking steepest-descent step that seeds the
     curvature history; every following iteration is a trust-region step.
     Non-finite function or gradient values terminate the run with status
-    ``numerical_failure`` at the last good iterate.
+    ``numerical_failure`` at the last good iterate; a radius below
+    ``eps*max(1, ||x||)`` terminates it with status ``stalled``.
     """
     config = config if config is not None else SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -279,7 +283,10 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     f_evals = g_evals = 1
     if not (math.isfinite(fx) and np.all(np.isfinite(g))):
         return result(STATUS_FAILED, fx, g, 0, 0, f_evals, g_evals)
-    if _stopped(x, g, config):
+    # ||x|| changes only when a step is accepted; the stop test and the
+    # stall test share it.
+    x_norm = float(np.linalg.norm(x))
+    if _stopped(x_norm, g, config):
         return result(STATUS_CONVERGED, fx, g, 0, 0, f_evals, g_evals)
 
     # Seed the history with a backtracking steepest-descent step.
@@ -297,32 +304,33 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     if buffer.try_push(x1 - x, g1 - g, config.c3):
         policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
     x, fx, g = x1, f1, g1
+    x_norm = float(np.linalg.norm(x))
 
     delta = config.delta0
     iterations = 0
     total_steps = 0
     status = STATUS_MAX_ITER
+    stall_tol = np.finfo(float).eps
     factors_stale = True
-    fac = None
 
     while total_steps < config.max_iter:
-        if _stopped(x, g, config):
+        if _stopped(x_norm, g, config):
             status = STATUS_CONVERGED
             break
-        gamma = policy.gamma if policy.gamma is not None else policy.gamma0_perp
-        gamma_perp = gamma if config.conventional else policy.gamma_perp()
-        max_gamma = max(max_gamma, gamma)
-        max_gamma_perp = max(max_gamma_perp, gamma_perp)
         if factors_stale:
+            # Everything below depends only on the stored pairs.
+            gamma = policy.gamma if policy.gamma is not None else policy.gamma0_perp
+            gamma_perp = gamma if config.conventional else policy.gamma_perp()
+            max_gamma = max(max_gamma, gamma)
+            max_gamma_perp = max(max_gamma_perp, gamma_perp)
             fac = factorize(buffer, gamma, config.eps_r)
+            inv = build_inverse(buffer, gamma, gamma_perp if config.dense_everywhere else gamma)
             factors_stale = False
 
         total_steps += 1
         delta_used = delta
-        p, used_unconstrained, q = step_selection(
-            buffer, fac, g, delta, config, gamma, gamma_perp
-        )
-        step_norm = sc_norm(p, fac, buffer, gamma)
+        p, used_unconstrained, q = step_selection(buffer, fac, inv, g, delta, gamma_perp)
+        step_norm = sc_norm(p, fac, buffer)
 
         f_trial = float(problem.eval_f(x + p))
         f_evals += 1
@@ -345,12 +353,13 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
                 policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
                 factors_stale = True
             x, fx, g = x_new, f_trial, g_new
+            x_norm = float(np.linalg.norm(x))
             iterations += 1
 
         delta = radius_update(rho, step_norm, delta, config)
-        if not delta > 0.0:
-            # Radius underflowed: progress is below machine resolution.
-            status = STATUS_FAILED
+        if not delta >= stall_tol * max(1.0, x_norm):
+            # No step this short can move x (this also catches a NaN radius).
+            status = STATUS_STALLED
             break
 
         if config.keep_trace:

@@ -27,7 +27,7 @@ class PairBuffer:
         rejected: number of pairs turned away by the acceptance test.
     """
 
-    def __init__(self, n: int, m: int, recompute_grams: bool = False):
+    def __init__(self, n: int, m: int):
         if n < 1 or m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
         self.n = int(n)
@@ -40,9 +40,6 @@ class PairBuffer:
         self.gram_SY = np.empty((0, 0))
         self.gram_YY = np.empty((0, 0))
         self.rejected = 0
-        # Debug-only path: rebuild every Gram block from the stored columns
-        # instead of appending rows/columns. Used by the oracle tests.
-        self._recompute_grams = bool(recompute_grams)
 
     def __len__(self) -> int:
         return self.count
@@ -101,13 +98,11 @@ class PairBuffer:
         self._s_rows[k] = s
         self._y_rows[k] = y
         self.count = k + 1
-
-        if self._recompute_grams:
-            S, Y = self.S, self.Y
-            self.gram_SS = S.T @ S
-            self.gram_SY = S.T @ Y
-            self.gram_YY = Y.T @ Y
         return True
+
+    def vt_dot(self, x: np.ndarray) -> np.ndarray:
+        """``V^T x = [S^T x; Y^T x]`` with ``V = [S, Y]``, two gemvs over the rows."""
+        return np.concatenate([self.S.T @ x, self.Y.T @ x])
 
     def triangular_views(self):
         """Split ``S^T Y`` into (L, D, T): strictly lower, diagonal, upper with diagonal."""

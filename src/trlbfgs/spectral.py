@@ -4,7 +4,8 @@ With history columns ``S``, ``Y`` and a scale ``gamma > 0``, the quasi-Newton
 matrix has the low-rank form ``B = gamma*I + Psi M Psi^T`` with
 ``Psi = [gamma*S, Y]``.  Everything here works in the 2m'-dimensional Gram
 geometry: the only n-dimensional operations are products with ``Psi`` and
-``Psi^T``.  In particular the orthonormal basis of Range(Psi) is never stored;
+with ``V^T = [S, Y]^T`` (``PairBuffer.vt_dot``), from which ``Psi^T x`` is one
+scaling away.  In particular the orthonormal basis of Range(Psi) is never stored;
 products with it are assembled from a pivoted Cholesky factor of the
 column-normalized Gram ``Psi^T Psi`` and the eigenvectors of the small core
 matrix.
@@ -20,7 +21,6 @@ from .errors import DegenerateFactorizationError
 from .pairs import PairBuffer
 
 __all__ = [
-    "CompactMiddle",
     "SpectralFactorization",
     "build_middle",
     "factorize",
@@ -32,14 +32,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CompactMiddle:
-    """Middle matrix M of ``B = gamma*I + Psi M Psi^T`` (2m'-by-2m', symmetric)."""
-
-    gamma: float
-    M: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectralFactorization:
     """Retained-rank eigendecomposition of the low-rank part of B.
 
@@ -48,7 +40,9 @@ class SpectralFactorization:
     leading r-by-r triangle of the pivoted Cholesky factor of the normalized
     Gram, ``piv`` the pivot order (retained columns first) and ``col_scale``
     the Psi column norms.  Together with ``W`` these suffice to apply the
-    orthonormal basis of the retained subspace and its transpose.
+    orthonormal basis of the retained subspace and its transpose.  ``gamma``
+    is the scale the factorization was built for; every product with the
+    basis reads it from here.
     """
 
     rank: int
@@ -58,11 +52,6 @@ class SpectralFactorization:
     piv: np.ndarray
     col_scale: np.ndarray
     gamma: float
-
-
-def psi_t_dot(buffer: PairBuffer, gamma: float, x: np.ndarray) -> np.ndarray:
-    """Blockwise ``Psi^T x = [gamma*S^T x; Y^T x]`` in O(m n)."""
-    return np.concatenate([gamma * (buffer.S.T @ x), buffer.Y.T @ x])
 
 
 def psi_dot(buffer: PairBuffer, gamma: float, w: np.ndarray) -> np.ndarray:
@@ -77,7 +66,7 @@ def psi_gram(buffer: PairBuffer, gamma: float) -> np.ndarray:
     return np.block([[gamma**2 * SS, gamma * SY], [gamma * SY.T, YY]])
 
 
-def build_middle(buffer: PairBuffer, gamma: float) -> CompactMiddle:
+def build_middle(buffer: PairBuffer, gamma: float) -> np.ndarray:
     """Invert the small bracket matrix of the compact representation.
 
     Returns ``M = -[[gamma*S^T S, L], [L^T, -D]]^{-1}`` where L is the strictly
@@ -104,8 +93,7 @@ def build_middle(buffer: PairBuffer, gamma: float) -> CompactMiddle:
         raise DegenerateFactorizationError(
             "bracket matrix of the compact representation is numerically singular"
         )
-    M = 0.5 * (M + M.T)
-    return CompactMiddle(gamma=float(gamma), M=M)
+    return 0.5 * (M + M.T)
 
 
 def factorize(buffer: PairBuffer, gamma: float, eps_r: float = 1e-14) -> SpectralFactorization:
@@ -125,29 +113,20 @@ def factorize(buffer: PairBuffer, gamma: float, eps_r: float = 1e-14) -> Spectra
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    k = buffer.count
-    if k == 0:
-        return SpectralFactorization(
-            rank=0,
-            lam_hat=np.empty(0),
-            W=np.empty((0, 0)),
-            U1=np.empty((0, 0)),
-            piv=np.empty(0, dtype=int),
-            col_scale=np.empty(0),
-            gamma=float(gamma),
-        )
-    A = psi_gram(buffer, gamma)
-    d = np.sqrt(np.diag(A))
-    # Zero columns cannot occur (acceptance forces s, y nonzero), but guard
-    # the division so a degenerate buffer fails loudly later, not here.
-    d = np.where(d > 0, d, 1.0)
-    An = A / np.outer(d, d)
-    An = 0.5 * (An + An.T)
-    c, piv, rank, info = dpstrf(An, tol=eps_r, lower=0)
-    if info < 0:
-        raise DegenerateFactorizationError(f"pivoted Cholesky failed (info={info})")
-    rank = int(rank)
-    piv = np.asarray(piv, dtype=int) - 1  # LAPACK pivots are 1-based
+    rank, piv, d = 0, np.empty(0, dtype=int), np.empty(0)
+    if buffer.count:
+        A = psi_gram(buffer, gamma)
+        d = np.sqrt(np.diag(A))
+        # Zero columns cannot occur (acceptance forces s, y nonzero), but guard
+        # the division so a degenerate buffer fails loudly later, not here.
+        d = np.where(d > 0, d, 1.0)
+        An = A / np.outer(d, d)
+        An = 0.5 * (An + An.T)
+        c, piv, rank, info = dpstrf(An, tol=eps_r, lower=0)
+        if info < 0:
+            raise DegenerateFactorizationError(f"pivoted Cholesky failed (info={info})")
+        rank = int(rank)
+        piv = np.asarray(piv, dtype=int) - 1  # LAPACK pivots are 1-based
     if rank == 0:
         return SpectralFactorization(
             rank=0,
@@ -159,7 +138,7 @@ def factorize(buffer: PairBuffer, gamma: float, eps_r: float = 1e-14) -> Spectra
             gamma=float(gamma),
         )
     U = np.triu(c)[:rank, :]  # r-by-2m' trapezoidal factor, pivoted order
-    M = build_middle(buffer, gamma).M
+    M = build_middle(buffer, gamma)
     Mn = M * np.outer(d, d)  # fold the column scaling into the middle matrix
     core = U @ Mn[np.ix_(piv, piv)] @ U.T
     core = 0.5 * (core + core.T)
@@ -175,21 +154,23 @@ def factorize(buffer: PairBuffer, gamma: float, eps_r: float = 1e-14) -> Spectra
     )
 
 
-def apply_P_par_T(
-    fac: SpectralFactorization, buffer: PairBuffer, gamma: float, x: np.ndarray
-) -> np.ndarray:
-    """Coordinates of x in the retained orthonormal basis (length r)."""
+def apply_P_par_T(fac: SpectralFactorization, u: np.ndarray) -> np.ndarray:
+    """Coordinates ``P_par^T x`` in the retained orthonormal basis (length r).
+
+    Takes ``u = V^T x`` (``PairBuffer.vt_dot``), so a caller that already
+    holds it pays no n-dimensional work here: ``Psi^T x`` is ``u`` with its
+    first half scaled by gamma.
+    """
     if fac.rank == 0:
         return np.empty(0)
-    px = psi_t_dot(buffer, gamma, x)
+    k = u.size // 2
+    px = np.concatenate([fac.gamma * u[:k], u[k:]])
     t = px[fac.piv[: fac.rank]] / fac.col_scale[fac.piv[: fac.rank]]
     q = solve_triangular(fac.U1, t, trans="T", lower=False)
     return fac.W.T @ q
 
 
-def apply_P_par(
-    fac: SpectralFactorization, buffer: PairBuffer, gamma: float, v: np.ndarray
-) -> np.ndarray:
+def apply_P_par(fac: SpectralFactorization, buffer: PairBuffer, v: np.ndarray) -> np.ndarray:
     """Map retained-basis coordinates v (length r) back to an n-vector."""
     if fac.rank == 0:
         raise ValueError("no parallel subspace: factorization has rank 0")
@@ -200,7 +181,7 @@ def apply_P_par(
     w = np.zeros(2 * buffer.count)
     sel = fac.piv[: fac.rank]
     w[sel] = z / fac.col_scale[sel]
-    return psi_dot(buffer, gamma, w)
+    return psi_dot(buffer, fac.gamma, w)
 
 
 def perp_norm_sq(x: np.ndarray, g_par: np.ndarray) -> float:
@@ -212,12 +193,10 @@ def perp_norm_sq(x: np.ndarray, g_par: np.ndarray) -> float:
     return max(0.0, float(x @ x) - float(g_par @ g_par))
 
 
-def sc_norm(
-    x: np.ndarray, fac: SpectralFactorization, buffer: PairBuffer, gamma: float
-) -> float:
+def sc_norm(x: np.ndarray, fac: SpectralFactorization, buffer: PairBuffer) -> float:
     """Shape-changing infinity norm ``max(||P_par^T x||_inf, ||P_perp^T x||_2)``."""
     if fac.rank == 0:
         return float(np.linalg.norm(x))
-    g_par = apply_P_par_T(fac, buffer, gamma, x)
+    g_par = apply_P_par_T(fac, buffer.vt_dot(x))
     perp = np.sqrt(perp_norm_sq(x, g_par))
     return max(float(np.max(np.abs(g_par))), float(perp))

@@ -70,7 +70,6 @@ def assemble_step(
     v_par: np.ndarray,
     fac: SpectralFactorization,
     buffer: PairBuffer,
-    gamma: float,
 ) -> np.ndarray:
     """Recombine the block solutions: ``p = beta*g + P_par (v_par - beta*g_par)``.
 
@@ -79,7 +78,7 @@ def assemble_step(
     """
     if fac.rank == 0:
         return beta * g
-    return beta * g + apply_P_par(fac, buffer, gamma, v_par - beta * g_par)
+    return beta * g + apply_P_par(fac, buffer, v_par - beta * g_par)
 
 
 def model_reduction(

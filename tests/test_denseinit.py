@@ -83,15 +83,16 @@ def test_equal_scales_reduce_to_classical_inverse():
     n, k, gamma = 12, 4, 1.8
     buf = fill_buffer(rng, n, k)
     inv = t.build_inverse(buf, gamma, gamma)
-    assert inv.alpha == 0.0
+    # no two-scale correction: the Y-Y block of the middle matrix stays zero
+    assert not inv.M_hat[k:, k:].any()
     # secant equation: B^{-1} y_last = s_last
     s_last, y_last = buf.S[:, -1], buf.Y[:, -1]
-    got = -t.unconstrained_step(inv, buf, y_last)
+    got = -t.unconstrained_step(inv, buf, y_last, buf.vt_dot(y_last))
     assert np.abs(got - s_last).max() <= 1e-10 * max(1.0, np.abs(s_last).max())
     # and the full action equals the dense inverse of the recursion matrix
     B = bfgs_recursion(gamma * np.eye(n), zip(buf.S.T, buf.Y.T))
     g = rng.standard_normal(n)
-    assert np.abs(t.unconstrained_step(inv, buf, g) + np.linalg.solve(B, g)).max() <= 1e-9
+    assert np.abs(t.unconstrained_step(inv, buf, g, buf.vt_dot(g)) + np.linalg.solve(B, g)).max() <= 1e-9
 
 
 def test_hand_example_single_pair_two_scales():
@@ -101,9 +102,9 @@ def test_hand_example_single_pair_two_scales():
     assert buf.try_push([1.0, 0.0], [2.0, 0.0], 1e-8)
     inv = t.build_inverse(buf, gamma=1.0, gamma_perp=5.0)
     g = np.array([1.0, 1.0])
-    p = t.unconstrained_step(inv, buf, g)
+    p = t.unconstrained_step(inv, buf, g, buf.vt_dot(g))
     assert np.abs(p - [-0.5, -0.2]).max() <= 1e-12
-    assert t.unconstrained_norm(inv, buf, g) == pytest.approx(np.sqrt(0.25 + 0.04), abs=1e-12)
+    assert t.unconstrained_norm(inv, g, buf.vt_dot(g)) == pytest.approx(np.sqrt(0.25 + 0.04), abs=1e-12)
 
 
 def test_inverse_identity_dense():
@@ -111,13 +112,13 @@ def test_inverse_identity_dense():
     n, k, gamma, gamma_perp = 30, 5, 1.2, 3.7
     buf = fill_buffer(rng, n, k)
     fac = t.factorize(buf, gamma)
-    P = explicit_P_par(fac, buf, gamma)
+    P = explicit_P_par(fac, buf)
     B_hat = bfgs_recursion(
         dense_B0_hat(P, gamma, gamma_perp, n), zip(buf.S.T, buf.Y.T)
     )
     inv = t.build_inverse(buf, gamma, gamma_perp)
     B_hat_inv = np.column_stack(
-        [-t.unconstrained_step(inv, buf, e) for e in np.eye(n)]
+        [-t.unconstrained_step(inv, buf, e, buf.vt_dot(e)) for e in np.eye(n)]
     )
     assert np.abs(B_hat @ B_hat_inv - np.eye(n)).max() <= 1e-9
 
@@ -126,8 +127,8 @@ def test_empty_history_uses_fallback_scale():
     buf = t.PairBuffer(5, 3)
     inv = t.build_inverse(buf, gamma=1.0, gamma_perp=2.5)
     g = np.arange(1.0, 6.0)
-    assert np.allclose(t.unconstrained_step(inv, buf, g), -g / 2.5)
-    assert t.unconstrained_norm(inv, buf, g) == pytest.approx(np.linalg.norm(g) / 2.5)
+    assert np.allclose(t.unconstrained_step(inv, buf, g, buf.vt_dot(g)), -g / 2.5)
+    assert t.unconstrained_norm(inv, g, buf.vt_dot(g)) == pytest.approx(np.linalg.norm(g) / 2.5)
 
 
 def test_quadratic_history_matches_dense_solve():
@@ -137,11 +138,11 @@ def test_quadratic_history_matches_dense_solve():
     buf = fill_buffer(rng, n, k, pairs=pairs)
     gamma, gamma_perp = 1.0, 2.0
     fac = t.factorize(buf, gamma)
-    P = explicit_P_par(fac, buf, gamma)
+    P = explicit_P_par(fac, buf)
     B_hat = bfgs_recursion(dense_B0_hat(P, gamma, gamma_perp, n), pairs)
     inv = t.build_inverse(buf, gamma, gamma_perp)
     g = rng.standard_normal(n)
-    p = t.unconstrained_step(inv, buf, g)
+    p = t.unconstrained_step(inv, buf, g, buf.vt_dot(g))
     assert np.abs(B_hat @ p + g).max() <= 1e-9 * max(1.0, np.abs(g).max())
 
 
@@ -152,8 +153,8 @@ def test_norm_matches_step_norm():
     inv = t.build_inverse(buf, gamma=1.4, gamma_perp=2.9)
     for _ in range(20):
         g = rng.standard_normal(n)
-        direct = np.linalg.norm(t.unconstrained_step(inv, buf, g))
-        cheap = t.unconstrained_norm(inv, buf, g)
+        direct = np.linalg.norm(t.unconstrained_step(inv, buf, g, buf.vt_dot(g)))
+        cheap = t.unconstrained_norm(inv, g, buf.vt_dot(g))
         assert abs(cheap - direct) <= 1e-10 * direct
 
 
@@ -165,7 +166,7 @@ def test_monotone_damping_in_gamma_perp():
     norms = []
     for gamma_perp in (1.0, 2.0, 4.0, 8.0):
         inv = t.build_inverse(buf, gamma, gamma_perp)
-        norms.append(np.linalg.norm(t.unconstrained_step(inv, buf, g)))
+        norms.append(np.linalg.norm(t.unconstrained_step(inv, buf, g, buf.vt_dot(g))))
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
 

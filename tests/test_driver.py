@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import trlbfgs as t
-from trlbfgs.driver import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITER
+import trlbfgs.driver as driver
+from trlbfgs.driver import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITER, STATUS_STALLED
 
 from oracles import fill_buffer
 
@@ -77,11 +78,11 @@ def test_trace_radius_sequence_is_consistent():
 def test_step_selection_unconstrained_for_tiny_gradient():
     rng = np.random.default_rng(51)
     buf = fill_buffer(rng, 12, 3)
-    cfg = t.SolverConfig()
     gamma, gamma_perp = 1.5, 2.0
     fac = t.factorize(buf, gamma)
+    inv = t.build_inverse(buf, gamma, gamma_perp)
     g = 1e-8 * rng.standard_normal(12)
-    choice = t.step_selection(buf, fac, g, 1.0, cfg, gamma, gamma_perp)
+    choice = t.step_selection(buf, fac, inv, g, 1.0, gamma_perp)
     assert choice.used_unconstrained
     assert choice.model_value < 0
 
@@ -89,33 +90,69 @@ def test_step_selection_unconstrained_for_tiny_gradient():
 def test_step_selection_constrained_when_radius_shrinks():
     rng = np.random.default_rng(52)
     buf = fill_buffer(rng, 12, 3)
-    cfg = t.SolverConfig()
     gamma, gamma_perp = 1.5, 2.0
     fac = t.factorize(buf, gamma)
     g = rng.standard_normal(12)
     inv = t.build_inverse(buf, gamma, gamma_perp)
-    pu_norm = t.unconstrained_norm(inv, buf, g)
+    pu_norm = t.unconstrained_norm(inv, g, buf.vt_dot(g))
     delta = 1e-3 * pu_norm
-    choice = t.step_selection(buf, fac, g, delta, cfg, gamma, gamma_perp)
+    choice = t.step_selection(buf, fac, inv, g, delta, gamma_perp)
     assert not choice.used_unconstrained
     # feasibility plus boundary activity in at least one block
-    snorm = t.sc_norm(choice.p_star, fac, buf, gamma)
+    snorm = t.sc_norm(choice.p_star, fac, buf)
     assert snorm <= delta + 1e-10
     assert snorm == pytest.approx(delta, rel=1e-9)
 
 
 def test_step_selection_everywhere_toggle_identical_when_scales_equal():
-    rng = np.random.default_rng(53)
-    buf = fill_buffer(rng, 10, 3)
-    gamma = 1.3
-    fac = t.factorize(buf, gamma)
-    g = rng.standard_normal(10)
-    for delta in (1e-3, 1e3):
-        steps = []
-        for everywhere in (True, False):
-            cfg = t.SolverConfig(dense_everywhere=everywhere)
-            steps.append(t.step_selection(buf, fac, g, delta, cfg, gamma, gamma).p_star)
-        assert np.array_equal(steps[0], steps[1])
+    # lam = 0 makes gamma_perp equal gamma, so the toggle must not matter
+    prob = t.get("tridia", 30)
+    results = [
+        t.minimize(prob, prob.x0, t.SolverConfig(lam=0.0, dense_everywhere=everywhere))
+        for everywhere in (True, False)
+    ]
+    assert results[0].status == STATUS_CONVERGED
+    assert results[0].total_steps == results[1].total_steps
+    assert results[0].x_final.tobytes() == results[1].x_final.tobytes()
+
+
+def test_small_matrices_refresh_once_per_accepted_pair(monkeypatch):
+    calls = {"factorize": 0, "build_inverse": 0}
+
+    def counting(name):
+        original = getattr(driver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(driver, name, counting(name))
+    prob = t.get("ext_powell", 40)
+    res = t.minimize(prob, prob.x0)
+    assert res.status == STATUS_CONVERGED
+    assert res.iterations < res.total_steps  # some steps were rejected
+    assert calls["build_inverse"] == calls["factorize"]
+    assert 0 < calls["build_inverse"] < res.total_steps
+
+
+@pytest.mark.parametrize(
+    "name, n, config, max_steps",
+    [
+        ("cosine_mixture", 1000, t.SolverConfig(conventional=True), 40),
+        ("trigonometric", 20, t.SolverConfig(), None),
+        ("cosine_mixture", 20, t.SolverConfig(c=2.0, lam=1.0), None),
+    ],
+)
+def test_stalled_run_stops_with_its_own_status(name, n, config, max_steps):
+    prob = t.get(name, n)
+    res = t.minimize(prob, prob.x0, config)
+    assert res.status == STATUS_STALLED
+    assert np.all(np.isfinite(res.x_final)) and np.isfinite(res.f_final)
+    if max_steps is not None:
+        assert res.total_steps <= max_steps
 
 
 def test_initial_step_full_on_quadratic():

@@ -20,14 +20,14 @@ def single_pair_buffer():
 
 
 def test_build_middle_single_pair_hand_values():
-    mid = t.build_middle(single_pair_buffer(), gamma=2.0)
-    assert np.allclose(mid.M, [[-0.5, 0.0], [0.0, 0.5]])
+    M = t.build_middle(single_pair_buffer(), gamma=2.0)
+    assert np.allclose(M, [[-0.5, 0.0], [0.0, 0.5]])
 
 
 def test_build_middle_single_pair_is_diagonal_any_gamma():
     buf = single_pair_buffer()
     for gamma in (0.3, 1.0, 7.5):
-        M = t.build_middle(buf, gamma).M
+        M = t.build_middle(buf, gamma)
         assert M[0, 1] == 0.0 and M[1, 0] == 0.0
 
 
@@ -42,7 +42,7 @@ def test_compact_representation_matches_dense_recursion():
     buf = fill_buffer(rng, n, k)
     pairs = zip(buf.S.T, buf.Y.T)
     B_ref = bfgs_recursion(gamma * np.eye(n), pairs)
-    M = t.build_middle(buf, gamma).M
+    M = t.build_middle(buf, gamma)
     Psi = np.hstack([gamma * buf.S, buf.Y])
     B = gamma * np.eye(n) + Psi @ M @ Psi.T
     assert np.abs(B - B_ref).max() <= 1e-9
@@ -94,7 +94,7 @@ def test_apply_P_par_T_annihilates_orthogonal_complement_of_span():
     V = np.hstack([buf.S, buf.Y])
     x = rng.standard_normal(n)
     x -= V @ np.linalg.lstsq(V, x, rcond=None)[0]  # project out the span
-    g_par = t.apply_P_par_T(fac, buf, gamma, x)
+    g_par = t.apply_P_par_T(fac, buf.vt_dot(x))
     assert np.abs(g_par).max() <= 1e-10 * np.linalg.norm(x)
 
 
@@ -103,10 +103,10 @@ def test_apply_P_par_T_recovers_basis_coordinates():
     buf = fill_buffer(rng, 15, 4)
     gamma = 0.8
     fac = t.factorize(buf, gamma)
-    P = explicit_P_par(fac, buf, gamma)
+    P = explicit_P_par(fac, buf)
     e1 = np.zeros(fac.rank)
     e1[0] = 1.0
-    got = t.apply_P_par_T(fac, buf, gamma, P[:, 0])
+    got = t.apply_P_par_T(fac, buf.vt_dot(P[:, 0]))
     assert np.abs(got - e1).max() <= 1e-10
 
 
@@ -117,7 +117,7 @@ def test_apply_P_par_T_is_a_contraction():
     fac = t.factorize(buf, gamma)
     for _ in range(20):
         x = rng.standard_normal(25)
-        assert np.linalg.norm(t.apply_P_par_T(fac, buf, gamma, x)) <= (1 + 1e-12) * np.linalg.norm(x)
+        assert np.linalg.norm(t.apply_P_par_T(fac, buf.vt_dot(x))) <= (1 + 1e-12) * np.linalg.norm(x)
 
 
 def test_apply_P_par_columns_are_unit_eigenvectors():
@@ -129,7 +129,7 @@ def test_apply_P_par_columns_are_unit_eigenvectors():
     for i in range(fac.rank):
         e = np.zeros(fac.rank)
         e[i] = 1.0
-        col = t.apply_P_par(fac, buf, gamma, e)
+        col = t.apply_P_par(fac, buf, e)
         assert abs(np.linalg.norm(col) - 1.0) <= 1e-10
         lam = fac.lam_hat[i] + gamma
         assert np.abs(B @ col - lam * col).max() <= 1e-9 * max(1.0, abs(lam))
@@ -141,7 +141,7 @@ def test_apply_roundtrip_is_identity_on_coordinates():
     gamma = 2.4
     fac = t.factorize(buf, gamma)
     v = rng.standard_normal(fac.rank)
-    back = t.apply_P_par_T(fac, buf, gamma, t.apply_P_par(fac, buf, gamma, v))
+    back = t.apply_P_par_T(fac, buf.vt_dot(t.apply_P_par(fac, buf, v)))
     assert np.abs(back - v).max() <= 1e-10 * max(1.0, np.abs(v).max())
 
 
@@ -149,7 +149,7 @@ def test_apply_P_par_rank_zero_rejected():
     buf = t.PairBuffer(4, 2)
     fac = t.factorize(buf, gamma=1.0)
     with pytest.raises(ValueError):
-        t.apply_P_par(fac, buf, 1.0, np.empty(0))
+        t.apply_P_par(fac, buf, np.empty(0))
 
 
 def test_adjoint_consistency():
@@ -160,8 +160,8 @@ def test_adjoint_consistency():
     for _ in range(10):
         x = rng.standard_normal(22)
         v = rng.standard_normal(fac.rank)
-        lhs = t.apply_P_par(fac, buf, gamma, v) @ x
-        rhs = v @ t.apply_P_par_T(fac, buf, gamma, x)
+        lhs = t.apply_P_par(fac, buf, v) @ x
+        rhs = v @ t.apply_P_par_T(fac, buf.vt_dot(x))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -170,8 +170,8 @@ def test_perp_norm_sq_zero_on_retained_span():
     buf = fill_buffer(rng, 16, 3)
     gamma = 1.9
     fac = t.factorize(buf, gamma)
-    x = t.apply_P_par(fac, buf, gamma, rng.standard_normal(fac.rank))
-    g_par = t.apply_P_par_T(fac, buf, gamma, x)
+    x = t.apply_P_par(fac, buf, rng.standard_normal(fac.rank))
+    g_par = t.apply_P_par_T(fac, buf.vt_dot(x))
     assert t.perp_norm_sq(x, g_par) <= 1e-10 * (x @ x)
 
 
@@ -185,12 +185,12 @@ def test_perp_norm_sq_matches_explicit_projector():
     n, gamma = 20, 1.4
     buf = fill_buffer(rng, n, 4)
     fac = t.factorize(buf, gamma)
-    P = explicit_P_par(fac, buf, gamma)
+    P = explicit_P_par(fac, buf)
     proj = np.eye(n) - P @ P.T
     for _ in range(10):
         x = rng.standard_normal(n)
         ref = float(np.linalg.norm(proj @ x) ** 2)
-        got = t.perp_norm_sq(x, t.apply_P_par_T(fac, buf, gamma, x))
+        got = t.perp_norm_sq(x, t.apply_P_par_T(fac, buf.vt_dot(x)))
         assert abs(got - ref) <= 1e-10 * max(1.0, ref)
 
 
@@ -198,7 +198,7 @@ def test_sc_norm_rank_zero_is_euclidean():
     buf = t.PairBuffer(3, 2)
     fac = t.factorize(buf, gamma=1.0)
     x = np.array([1.0, 2.0, 2.0])
-    assert t.sc_norm(x, fac, buf, 1.0) == pytest.approx(3.0)
+    assert t.sc_norm(x, fac, buf) == pytest.approx(3.0)
 
 
 def test_sc_norm_of_scaled_basis_column():
@@ -208,8 +208,8 @@ def test_sc_norm_of_scaled_basis_column():
     fac = t.factorize(buf, gamma)
     e = np.zeros(fac.rank)
     e[1] = 1.0
-    col = t.apply_P_par(fac, buf, gamma, e)
-    assert t.sc_norm(3.0 * col, fac, buf, gamma) == pytest.approx(3.0, abs=1e-9)
+    col = t.apply_P_par(fac, buf, e)
+    assert t.sc_norm(3.0 * col, fac, buf) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_sc_norm_ratio_bounds():
@@ -220,7 +220,7 @@ def test_sc_norm_ratio_bounds():
     bound = np.sqrt(fac.rank + 1)
     for _ in range(200):
         x = rng.standard_normal(30)
-        ratio = np.linalg.norm(x) / t.sc_norm(x, fac, buf, gamma)
+        ratio = np.linalg.norm(x) / t.sc_norm(x, fac, buf)
         assert 1.0 - 1e-9 <= ratio <= bound * (1.0 + 1e-9)
 
 
@@ -231,7 +231,7 @@ def test_sc_norm_axioms_sampled():
     fac = t.factorize(buf, gamma)
 
     def norm(x):
-        return t.sc_norm(x, fac, buf, gamma)
+        return t.sc_norm(x, fac, buf)
 
     for _ in range(25):
         x = rng.standard_normal(12)
@@ -249,7 +249,7 @@ def test_two_scale_eigendecomposition_identity():
     n, k, gamma, gamma_perp = 12, 4, 1.5, 4.0
     buf = fill_buffer(rng, n, k)
     fac = t.factorize(buf, gamma)
-    P = explicit_P_par(fac, buf, gamma)
+    P = explicit_P_par(fac, buf)
     B0 = dense_B0_hat(P, gamma, gamma_perp, n)
     B_rec = bfgs_recursion(B0, zip(buf.S.T, buf.Y.T))
     B_eig = P @ np.diag(fac.lam_hat + gamma) @ P.T + gamma_perp * (np.eye(n) - P @ P.T)
@@ -261,7 +261,7 @@ def test_parallel_eigenvalues_independent_of_gamma_perp():
     n, k, gamma = 12, 4, 2.0
     buf = fill_buffer(rng, n, k)
     fac = t.factorize(buf, gamma)
-    P = explicit_P_par(fac, buf, gamma)
+    P = explicit_P_par(fac, buf)
     spectra = []
     for gamma_perp in (0.5 * gamma, gamma, 10.0 * gamma):
         B0 = dense_B0_hat(P, gamma, gamma_perp, n)

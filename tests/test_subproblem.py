@@ -68,7 +68,7 @@ def test_assemble_step_rank_zero_scaled_steepest_descent():
     buf = t.PairBuffer(4, 2)
     fac = t.factorize(buf, gamma=1.0)
     g = np.array([1.0, -2.0, 0.5, 3.0])
-    p = t.assemble_step(-0.5, g, np.empty(0), np.empty(0), fac, buf, 1.0)
+    p = t.assemble_step(-0.5, g, np.empty(0), np.empty(0), fac, buf)
     assert np.allclose(p, -0.5 * g)
 
 
@@ -78,9 +78,9 @@ def test_assemble_step_cancellation():
     gamma = 1.3
     fac = t.factorize(buf, gamma)
     g = rng.standard_normal(10)
-    g_par = t.apply_P_par_T(fac, buf, gamma, g)
+    g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
     beta = -0.7
-    p = t.assemble_step(beta, g, g_par, beta * g_par, fac, buf, gamma)
+    p = t.assemble_step(beta, g, g_par, beta * g_par, fac, buf)
     assert np.abs(p - beta * g).max() <= 1e-12 * np.abs(g).max()
 
 
@@ -89,12 +89,12 @@ def test_assemble_step_matches_explicit_projectors():
     n, gamma = 20, 1.6
     buf = fill_buffer(rng, n, 4)
     fac = t.factorize(buf, gamma)
-    P = explicit_P_par(fac, buf, gamma)
+    P = explicit_P_par(fac, buf)
     g = rng.standard_normal(n)
-    g_par = t.apply_P_par_T(fac, buf, gamma, g)
+    g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
     v_par = rng.standard_normal(fac.rank)
     beta = -0.31
-    p = t.assemble_step(beta, g, g_par, v_par, fac, buf, gamma)
+    p = t.assemble_step(beta, g, g_par, v_par, fac, buf)
     ref = P @ v_par + beta * (np.eye(n) - P @ P.T) @ g
     assert np.abs(p - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
@@ -117,7 +117,7 @@ def test_model_reduction_matches_dense_quadratic():
     n, gamma, gamma_perp = 20, 1.4, 3.3
     buf = fill_buffer(rng, n, 4)
     fac = t.factorize(buf, gamma)
-    P = explicit_P_par(fac, buf, gamma)
+    P = explicit_P_par(fac, buf)
     from oracles import bfgs_recursion
 
     B_hat = bfgs_recursion(
@@ -125,12 +125,12 @@ def test_model_reduction_matches_dense_quadratic():
     )
     g = rng.standard_normal(n)
     delta = 0.4
-    g_par = t.apply_P_par_T(fac, buf, gamma, g)
+    g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
     gp_norm = np.sqrt(t.perp_norm_sq(g, g_par))
     lambdas = fac.lam_hat + gamma
     v_par = t.solve_parallel(g_par, lambdas, delta)
     beta = t.solve_perp_beta(gamma_perp, gp_norm, delta)
-    p = t.assemble_step(beta, g, g_par, v_par, fac, buf, gamma)
+    p = t.assemble_step(beta, g, g_par, v_par, fac, buf)
     dense_q = float(g @ p + 0.5 * p @ (B_hat @ p))
     ours = t.model_reduction(v_par, beta, g_par, gp_norm, lambdas, gamma_perp)
     assert abs(ours - dense_q) <= 1e-10 * max(1.0, abs(dense_q))
@@ -142,7 +142,7 @@ def test_separability_no_cross_terms():
     n, gamma, gamma_perp = 14, 1.1, 2.6
     buf = fill_buffer(rng, n, 3)
     fac = t.factorize(buf, gamma)
-    P = explicit_P_par(fac, buf, gamma)
+    P = explicit_P_par(fac, buf)
     from oracles import bfgs_recursion
 
     B_hat = bfgs_recursion(
@@ -154,7 +154,7 @@ def test_separability_no_cross_terms():
     w = rng.standard_normal(n)
     perp = w - P @ (P.T @ w)
     p = P @ v_par + perp
-    g_par = t.apply_P_par_T(fac, buf, gamma, g)
+    g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
     lambdas = fac.lam_hat + gamma
     q_full = float(g @ p + 0.5 * p @ (B_hat @ p))
     q_par = float(g_par @ v_par + 0.5 * v_par @ (lambdas * v_par))
@@ -205,12 +205,12 @@ def test_feasibility_in_shape_changing_norm():
         g = rng.standard_normal(n)
         delta = float(rng.uniform(0.05, 2.0))
         gamma_perp = float(rng.uniform(0.5, 6.0))
-        g_par = t.apply_P_par_T(fac, buf, gamma, g)
+        g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
         gp_norm = np.sqrt(t.perp_norm_sq(g, g_par))
         v_par = t.solve_parallel(g_par, fac.lam_hat + gamma, delta)
         beta = t.solve_perp_beta(gamma_perp, gp_norm, delta)
-        p = t.assemble_step(beta, g, g_par, v_par, fac, buf, gamma)
-        assert t.sc_norm(p, fac, buf, gamma) <= delta + 1e-10
+        p = t.assemble_step(beta, g, g_par, v_par, fac, buf)
+        assert t.sc_norm(p, fac, buf) <= delta + 1e-10
 
 
 def test_gamma_perp_sensitivity_at_solution_level():
@@ -219,7 +219,7 @@ def test_gamma_perp_sensitivity_at_solution_level():
     buf = fill_buffer(rng, n, 3)
     fac = t.factorize(buf, gamma)
     g = rng.standard_normal(n)
-    g_par = t.apply_P_par_T(fac, buf, gamma, g)
+    g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
     gp_norm = np.sqrt(t.perp_norm_sq(g, g_par))
     lambdas = fac.lam_hat + gamma
     v_ref = t.solve_parallel(g_par, lambdas, delta)

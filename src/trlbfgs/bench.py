@@ -3,10 +3,11 @@
 The ``bench`` command line has two subcommands.  ``bench run`` executes a
 matrix of solver configurations over registry problems, repeating each cell
 for timing (the first runs are discarded as warm-up) and writing the records
-as CSV and JSON.  ``bench profile`` turns recorded metrics into
-performance-profile curves: for each problem the metric is divided by the
-best value any solver achieved, and a curve reports the fraction of problems
-a solver solved within factor tau of the best.
+as CSV and JSON.  ``bench profile`` reads ``records.json``, leaves it as
+it is, and writes performance-profile curves to ``profile_<metric>.tsv``:
+for each problem the metric is divided by the best value any solver
+achieved, and a curve reports the fraction of problems a solver solved
+within factor tau of the best.
 
 Solver specifications use the grammar
 ``dense:c=1,lambda=0.5,everywhere=true`` or ``conventional``.
@@ -113,7 +114,7 @@ def parse_solver_spec(spec: str) -> tuple[str, dict]:
     """Parse one solver spec into (solver_id, SolverConfig overrides)."""
     spec = spec.strip()
     if spec == "conventional":
-        return "conventional", {"conventional": True, "c": 1.0, "lam": 0.0}
+        return "conventional", {"conventional": True}
     if spec == "dense" or spec.startswith("dense:"):
         c, lam, everywhere = 1.0, 0.5, True
         body = spec[len("dense:"):] if spec.startswith("dense:") else ""
@@ -355,13 +356,7 @@ def _cmd_run(args) -> int:
         s.strip() for s in args.problems.split(",") if s.strip()
     ]
     problems = [get(name, args.n) for name in names]
-    base = dict(
-        m=args.m,
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
-        stop_rule=args.stop_rule,
-        delta0=args.delta0,
-    )
+    base = dict(m=args.m, epsilon=args.epsilon, max_iter=args.max_iter)
     configs = []
     for spec in split_solver_specs(args.solvers):
         solver_id, solver_overrides = parse_solver_spec(spec)
@@ -392,8 +387,8 @@ def _cmd_run(args) -> int:
 def _cmd_profile(args) -> int:
     in_dir = Path(args.in_dir)
     records, _ = load_records(in_dir / "records.json")
-    curves = performance_profile(records, args.metric) if args.format == "tsv-profile" else []
-    paths = emit(records, curves, args.format, args.out or in_dir)
+    curves = performance_profile(records, args.metric)
+    paths = emit(records, curves, "tsv-profile", args.out or in_dir)
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -420,19 +415,11 @@ def main(argv=None) -> int:
     run_p.add_argument("--epsilon", type=float, default=1e-10)
     run_p.add_argument("--m", type=int, default=5)
     run_p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
-    run_p.add_argument(
-        "--stop-rule",
-        default="relative-two-norm",
-        choices=["relative-two-norm", "absolute-inf-norm"],
-        dest="stop_rule",
-    )
-    run_p.add_argument("--delta0", type=float, default=1.0)
     run_p.set_defaults(func=_cmd_run)
 
     prof_p = sub.add_parser("profile", help="compute performance profiles from records")
     prof_p.add_argument("--metric", choices=sorted(METRIC_FIELDS), default="iter")
     prof_p.add_argument("--in", dest="in_dir", required=True, help="directory with records.json")
-    prof_p.add_argument("--format", default="tsv-profile", choices=["csv", "json", "tsv-profile"])
     prof_p.add_argument("--out", default=None, help="output directory (defaults to --in)")
     prof_p.set_defaults(func=_cmd_profile)
 

@@ -19,25 +19,25 @@ from .pairs import PairBuffer
 
 __all__ = ["InitPolicy", "InverseRep", "build_inverse", "unconstrained_step", "unconstrained_norm"]
 
+# Both scales before any pair has been accepted.
+GAMMA0_PERP = 1.0
+
 
 class InitPolicy:
     """Tracks the two curvature scales.
 
     ``gamma`` follows the most recent accepted pair; ``gamma_max`` is the
     running maximum over the whole run (never reset).  Before any pair has
-    been accepted ``gamma_perp()`` falls back to ``gamma0_perp``.
+    been accepted ``gamma_perp()`` falls back to ``GAMMA0_PERP``.
     """
 
-    def __init__(self, c: float = 1.0, lam: float = 0.5, gamma0_perp: float = 1.0):
+    def __init__(self, c: float = 1.0, lam: float = 0.5):
         if c < 1.0:
             raise ValueError(f"c must be >= 1, got {c}")
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-        if gamma0_perp <= 0.0:
-            raise ValueError(f"gamma0_perp must be positive, got {gamma0_perp}")
         self.c = float(c)
         self.lam = float(lam)
-        self.gamma0_perp = float(gamma0_perp)
         self.gamma: float | None = None
         self.gamma_max: float | None = None
 
@@ -51,7 +51,7 @@ class InitPolicy:
     def gamma_perp(self) -> float:
         """Scale for the unexplored subspace: ``lam*c*gamma_max + (1-lam)*gamma``."""
         if self.gamma is None:
-            return self.gamma0_perp
+            return GAMMA0_PERP
         return self.lam * self.c * self.gamma_max + (1.0 - self.lam) * self.gamma
 
 

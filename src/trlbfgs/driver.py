@@ -11,6 +11,22 @@ Everything that depends only on the stored pairs (the scales gamma and
 gamma_perp, the spectral factorization and the compact inverse) is rebuilt
 once per accepted pair, not once per step.  A run whose radius falls below
 the resolution of x, ``eps*max(1, ||x||)``, stops with status ``stalled``.
+
+The ratio ``rho`` of actual to predicted decrease is computed with both
+shifted by ``10*eps*|f|`` (Conn, Gould & Toint, *Trust-Region Methods*,
+2000, section 17.4.2), so a step whose decrease is below the resolution of
+``f`` reads as agreeing with the model instead of as noise.
+
+The trust-region constants are fixed, because every caller uses one value:
+
+- ``TAU1``, ``TAU2``, ``TAU3`` (tau_1, tau_2, tau_3): a step is accepted
+  when ``rho >= TAU1``; the radius shrinks when ``rho < TAU2`` and may grow
+  when ``rho >= TAU3``.  They satisfy ``0 <= TAU1 < TAU2 < 0.5 < TAU3 < 1``.
+- ``ETA1`` .. ``ETA4`` (eta_1 .. eta_4): the shrink factors on the radius
+  and on the step length, the fraction of the radius a step must reach
+  before the radius grows, and the growth factor.  They satisfy
+  ``0 < ETA1 < ETA2 <= 0.5 < ETA3 < 1 < ETA4``.
+- ``DELTA0`` (delta_0): the radius of the first trust-region step.
 """
 
 import math
@@ -41,16 +57,19 @@ STATUS_MAX_ITER = "max_iter"
 STATUS_FAILED = "numerical_failure"
 STATUS_STALLED = "stalled"
 
-STOP_RELATIVE = "relative-two-norm"
-STOP_ABSOLUTE = "absolute-inf-norm"
+TAU1, TAU2, TAU3 = 0.0, 0.25, 0.75
+ETA1, ETA2, ETA3, ETA4 = 0.25, 0.5, 0.8, 2.0
+DELTA0 = 1.0
+# Halvings the initial backtracking search tries before it gives up.
+MAX_HALVINGS = 50
 
 
 @dataclass
 class SolverConfig:
     """Driver parameters.
 
-    The ratio thresholds must satisfy ``0 <= tau1 < tau2 < 0.5 < tau3 < 1``
-    and the radius factors ``0 < eta1 < eta2 <= 0.5 < eta3 < 1 < eta4``.
+    ``m`` is the memory, ``c`` and ``lam`` select the two-scale
+    initialization, and a run stops when ``||g||_2 <= epsilon*max(1, ||x||_2)``.
     ``dense_everywhere`` controls whether the two-scale initialization is
     also used for the full quasi-Newton step or only inside the constrained
     solve; ``conventional`` pins the perpendicular scale to gamma itself,
@@ -59,44 +78,22 @@ class SolverConfig:
 
     m: int = 5
     epsilon: float = 1e-10
-    c3: float = 1e-8
-    eps_r: float = 1e-14
-    tau1: float = 0.0
-    tau2: float = 0.25
-    tau3: float = 0.75
-    eta1: float = 0.25
-    eta2: float = 0.5
-    eta3: float = 0.8
-    eta4: float = 2.0
-    delta0: float = 1.0
     c: float = 1.0
     lam: float = 0.5
-    gamma0_perp: float = 1.0
     max_iter: int = 10000
-    stop_rule: str = STOP_RELATIVE
     dense_everywhere: bool = True
     conventional: bool = False
     keep_trace: bool = False
-    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        for name in ("epsilon", "eps_r", "delta0", "gamma0_perp"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.c3 < 1:
-            raise ValueError("c3 must lie in (0, 1)")
-        if not 0 <= self.tau1 < self.tau2 < 0.5 < self.tau3 < 1:
-            raise ValueError("need 0 <= tau1 < tau2 < 0.5 < tau3 < 1")
-        if not 0 < self.eta1 < self.eta2 <= 0.5 < self.eta3 < 1 < self.eta4:
-            raise ValueError("need 0 < eta1 < eta2 <= 0.5 < eta3 < 1 < eta4")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         if self.c < 1 or not 0 <= self.lam <= 1:
             raise ValueError("need c >= 1 and lambda in [0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.stop_rule not in (STOP_RELATIVE, STOP_ABSOLUTE):
-            raise ValueError(f"unknown stop_rule {self.stop_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,8 @@ class IterationRecord:
 
 @dataclass
 class SolverResult:
+    """Outcome of :func:`minimize`; ``g_norm_final`` is the two-norm of the final gradient."""
+
     x_final: np.ndarray
     f_final: float
     g_norm_final: float
@@ -129,7 +128,6 @@ class SolverResult:
     pair_violations: int
     pair_rejections: int
     trace: list[IterationRecord] = field(default_factory=list)
-    iterates: list[np.ndarray] = field(default_factory=list)
 
 
 class StepChoice(NamedTuple):
@@ -146,23 +144,15 @@ class InitialStep(NamedTuple):
 
 
 def _stopped(x_norm: float, g: np.ndarray, config: SolverConfig) -> bool:
-    if config.stop_rule == STOP_RELATIVE:
-        return np.linalg.norm(g) <= config.epsilon * max(1.0, x_norm)
-    return np.max(np.abs(g)) <= config.epsilon
+    return np.linalg.norm(g) <= config.epsilon * max(1.0, x_norm)
 
 
-def _g_norm(g: np.ndarray, config: SolverConfig) -> float:
-    if config.stop_rule == STOP_RELATIVE:
-        return float(np.linalg.norm(g))
-    return float(np.max(np.abs(g))) if g.size else 0.0
-
-
-def radius_update(rho: float, step_norm: float, delta: float, config: SolverConfig) -> float:
+def radius_update(rho: float, step_norm: float, delta: float) -> float:
     """Next radius from the ratio and the step length in the shape-changing norm."""
-    if rho < config.tau2:
-        return min(config.eta1 * delta, config.eta2 * step_norm)
-    if rho >= config.tau3 and step_norm >= config.eta3 * delta:
-        return config.eta4 * delta
+    if rho < TAU2:
+        return min(ETA1 * delta, ETA2 * step_norm)
+    if rho >= TAU3 and step_norm >= ETA3 * delta:
+        return ETA4 * delta
     return delta
 
 
@@ -170,7 +160,7 @@ def initial_point_step(
     problem,
     x0,
     armijo: float = 1e-4,
-    max_halvings: int = 50,
+    max_halvings: int = MAX_HALVINGS,
     f0: float | None = None,
     g0: np.ndarray | None = None,
 ) -> InitialStep:
@@ -253,10 +243,9 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     buffer = PairBuffer(n, config.m)
-    policy = InitPolicy(c=config.c, lam=config.lam, gamma0_perp=config.gamma0_perp)
+    policy = InitPolicy(c=config.c, lam=config.lam)
 
     trace: list[IterationRecord] = []
-    iterates: list[np.ndarray] = []
     max_gamma = 0.0
     max_gamma_perp = 0.0
 
@@ -264,7 +253,7 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
         return SolverResult(
             x_final=x,
             f_final=fx,
-            g_norm_final=_g_norm(g, config),
+            g_norm_final=float(np.linalg.norm(g)),
             iterations=iterations,
             total_steps=total_steps,
             f_evals=f_evals,
@@ -272,10 +261,9 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
             status=status,
             max_gamma=max_gamma,
             max_gamma_perp=max_gamma_perp,
-            pair_violations=buffer.violations(config.c3),
+            pair_violations=buffer.violations(),
             pair_rejections=buffer.rejected,
             trace=trace,
-            iterates=iterates,
         )
 
     fx = float(problem.eval_f(x))
@@ -290,27 +278,24 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
         return result(STATUS_CONVERGED, fx, g, 0, 0, f_evals, g_evals)
 
     # Seed the history with a backtracking steepest-descent step.
-    max_halvings = 50
     try:
-        x1, g1, f1, ls_evals = initial_point_step(
-            problem, x, max_halvings=max_halvings, f0=fx, g0=g
-        )
+        x1, g1, f1, ls_evals = initial_point_step(problem, x, f0=fx, g0=g)
     except LineSearchError:
-        return result(STATUS_FAILED, fx, g, 0, 0, f_evals + max_halvings + 1, g_evals)
+        return result(STATUS_FAILED, fx, g, 0, 0, f_evals + MAX_HALVINGS + 1, g_evals)
     f_evals += ls_evals
     g_evals += 1
     if not np.all(np.isfinite(g1)):
         return result(STATUS_FAILED, fx, g, 0, 0, f_evals, g_evals)
-    if buffer.try_push(x1 - x, g1 - g, config.c3):
+    if buffer.try_push(x1 - x, g1 - g):
         policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
     x, fx, g = x1, f1, g1
     x_norm = float(np.linalg.norm(x))
 
-    delta = config.delta0
+    delta = DELTA0
     iterations = 0
     total_steps = 0
     status = STATUS_MAX_ITER
-    stall_tol = np.finfo(float).eps
+    eps = np.finfo(float).eps
     factors_stale = True
 
     while total_steps < config.max_iter:
@@ -319,11 +304,12 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
             break
         if factors_stale:
             # Everything below depends only on the stored pairs.
-            gamma = policy.gamma if policy.gamma is not None else policy.gamma0_perp
+            # Before any pair is stored both scales fall back to one value.
+            gamma = policy.gamma if policy.gamma is not None else policy.gamma_perp()
             gamma_perp = gamma if config.conventional else policy.gamma_perp()
             max_gamma = max(max_gamma, gamma)
             max_gamma_perp = max(max_gamma_perp, gamma_perp)
-            fac = factorize(buffer, gamma, config.eps_r)
+            fac = factorize(buffer, gamma)
             inv = build_inverse(buffer, gamma, gamma_perp if config.dense_everywhere else gamma)
             factors_stale = False
 
@@ -337,11 +323,14 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
         if not math.isfinite(f_trial):
             status = STATUS_FAILED
             break
-        rho = (f_trial - fx) / q if q < 0 else -math.inf
+        # Shift both decreases by the resolution of f, so that a decrease
+        # lost in round-off does not read as a failed step.
+        shift = 10.0 * eps * abs(fx)
+        rho = (f_trial - fx - shift) / (q - shift) if q < 0 else -math.inf
         if not math.isfinite(rho):
             rho = -math.inf
 
-        accepted = rho >= config.tau1
+        accepted = rho >= TAU1
         if accepted:
             x_new = x + p
             g_new = np.asarray(problem.eval_g(x_new), dtype=float)
@@ -349,15 +338,15 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
             if not np.all(np.isfinite(g_new)):
                 status = STATUS_FAILED
                 break
-            if buffer.try_push(p, g_new - g, config.c3):
+            if buffer.try_push(p, g_new - g):
                 policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
                 factors_stale = True
             x, fx, g = x_new, f_trial, g_new
             x_norm = float(np.linalg.norm(x))
             iterations += 1
 
-        delta = radius_update(rho, step_norm, delta, config)
-        if not delta >= stall_tol * max(1.0, x_norm):
+        delta = radius_update(rho, step_norm, delta)
+        if not delta >= eps * max(1.0, x_norm):
             # No step this short can move x (this also catches a NaN radius).
             status = STATUS_STALLED
             break
@@ -378,7 +367,5 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
                     step_norm=step_norm,
                 )
             )
-        if config.keep_iterates:
-            iterates.append(x.copy())
 
     return result(status, fx, g, iterations, total_steps, f_evals, g_evals)

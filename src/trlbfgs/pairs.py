@@ -6,6 +6,9 @@ A :class:`PairBuffer` holds the ``m`` most recent accepted pairs ``(s, y)``
 preallocated ``(m, n)`` array per vector, and the blocks are maintained
 incrementally, one appended row/column per accepted pair, so the
 n-dimensional work per push stays O(m n).
+
+A pair is accepted when ``s^T y > C3 ||s|| ||y||``.  ``C3`` is fixed at
+1e-8 because every caller uses that value.
 """
 
 import numpy as np
@@ -13,6 +16,8 @@ import numpy as np
 from .errors import EmptyHistoryError
 
 __all__ = ["PairBuffer"]
+
+C3 = 1e-8
 
 
 class PairBuffer:
@@ -52,8 +57,8 @@ class PairBuffer:
     def Y(self) -> np.ndarray:
         return self._y_rows[: self.count].T
 
-    def try_push(self, s, y, c3: float) -> bool:
-        """Append ``(s, y)`` if it passes ``s^T y > c3 ||s|| ||y||``.
+    def try_push(self, s, y) -> bool:
+        """Append ``(s, y)`` if it passes ``s^T y > C3 ||s|| ||y||``.
 
         The oldest pair is evicted when the buffer is full.  Returns True
         when the pair was stored; a rejected pair leaves the buffer
@@ -68,7 +73,7 @@ class PairBuffer:
         ss = float(s @ s)
         yy = float(y @ y)
         sy = float(s @ y)
-        if not sy > c3 * np.sqrt(ss) * np.sqrt(yy) or ss == 0.0 or yy == 0.0:
+        if not sy > C3 * np.sqrt(ss) * np.sqrt(yy) or ss == 0.0 or yy == 0.0:
             self.rejected += 1
             return False
 
@@ -113,12 +118,12 @@ class PairBuffer:
         D = np.diag(np.diag(self.gram_SY))
         return L, D, T
 
-    def violations(self, c3: float) -> int:
+    def violations(self) -> int:
         """Count stored pairs that fail the strict acceptance inequality."""
         sy = np.diag(self.gram_SY)
         ss = np.diag(self.gram_SS)
         yy = np.diag(self.gram_YY)
-        return int(np.count_nonzero(~(sy > c3 * np.sqrt(ss) * np.sqrt(yy))))
+        return int(np.count_nonzero(~(sy > C3 * np.sqrt(ss) * np.sqrt(yy))))
 
 
 def _grow(block: np.ndarray, col: np.ndarray, row: np.ndarray, corner: float) -> np.ndarray:

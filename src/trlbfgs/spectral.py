@@ -30,6 +30,9 @@ __all__ = [
     "sc_norm",
 ]
 
+# Rank threshold on the pivots of the column-normalized Gram; see factorize.
+EPS_R = 1e-14
+
 
 @dataclass(frozen=True)
 class SpectralFactorization:
@@ -96,17 +99,17 @@ def build_middle(buffer: PairBuffer, gamma: float) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def factorize(buffer: PairBuffer, gamma: float, eps_r: float = 1e-14) -> SpectralFactorization:
+def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
     """Rank-detected eigendecomposition of ``Psi M Psi^T``.
 
     The Gram ``Psi^T Psi`` is column-normalized so the rank threshold
-    ``eps_r`` is scale-free, and factorized by pivoted Cholesky (``dpstrf``),
-    which stops at the first pivot ``<= eps_r``.  A pivot is the remaining
+    ``EPS_R`` is scale-free, and factorized by pivoted Cholesky (``dpstrf``),
+    which stops at the first pivot ``<= EPS_R``.  A pivot is the remaining
     diagonal of the Schur complement, the square of the factor's diagonal
-    entry, so the retained diagonal of ``U1`` only exceeds ``sqrt(eps_r)``
-    (1e-7 at the default), and the retained basis can be far from
-    orthonormal when that diagonal is small.  The r-by-r core ``R M R^T``
-    is then eigendecomposed; eigenvalues come back ascending.
+    entry, so the retained diagonal of ``U1`` only exceeds ``sqrt(EPS_R)``
+    (1e-7), and the retained basis can be far from orthonormal when that
+    diagonal is small.  The r-by-r core ``R M R^T`` is then
+    eigendecomposed; eigenvalues come back ascending.
 
     An empty buffer yields rank 0 (no parallel subspace); the caller treats
     B as a plain multiple of the identity.
@@ -122,7 +125,7 @@ def factorize(buffer: PairBuffer, gamma: float, eps_r: float = 1e-14) -> Spectra
         d = np.where(d > 0, d, 1.0)
         An = A / np.outer(d, d)
         An = 0.5 * (An + An.T)
-        c, piv, rank, info = dpstrf(An, tol=eps_r, lower=0)
+        c, piv, rank, info = dpstrf(An, tol=EPS_R, lower=0)
         if info < 0:
             raise DegenerateFactorizationError(f"pivoted Cholesky failed (info={info})")
         rank = int(rank)

@@ -83,8 +83,8 @@ def quadratic_pairs(rng, n, count, spread=(0.5, 3.0)):
     return pairs, A
 
 
-def fill_buffer(rng, n, count, m=None, c3=C3, pairs=None):
+def fill_buffer(rng, n, count, m=None, pairs=None):
     buf = t.PairBuffer(n, m if m is not None else count)
-    for s, y in pairs if pairs is not None else random_pairs(rng, n, count, c3):
-        assert buf.try_push(s, y, c3)
+    for s, y in pairs if pairs is not None else random_pairs(rng, n, count):
+        assert buf.try_push(s, y)
     return buf

@@ -64,6 +64,19 @@ def test_run_then_profile_round_trip(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_profile_leaves_the_records_untouched(tmp_path):
+    argv = ["run", "--problems", "arwhead", "--n", "10", "--solvers", "dense,conventional"]
+    assert main(argv + ["--reps", "1", "--out", str(tmp_path)]) == 0
+    before = (tmp_path / "records.json").read_bytes()
+    assert main(["profile", "--in", str(tmp_path), "--metric", "time"]) == 0
+    assert (tmp_path / "records.json").read_bytes() == before
+    assert (tmp_path / "profile_time.tsv").is_file()
+    # profile writes only the tsv profile; rewriting the records lost their meta.
+    with pytest.raises(SystemExit):
+        main(["profile", "--in", str(tmp_path), "--format", "json"])
+    assert (tmp_path / "records.json").read_bytes() == before
+
+
 def test_run_records_unset_thread_variables_as_null(tmp_path, monkeypatch):
     for name in BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
@@ -81,7 +94,7 @@ def test_run_records_unset_thread_variables_as_null(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "spec,expected",
     [
-        ("conventional", ("conventional", {"conventional": True, "c": 1.0, "lam": 0.0})),
+        ("conventional", ("conventional", {"conventional": True})),
         ("dense", (DENSE_ID, {"c": 1.0, "lam": 0.5, "dense_everywhere": True})),
         (
             "dense:c=2,lambda=0.25,everywhere=FALSE",

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import trlbfgs as t
+from trlbfgs.denseinit import GAMMA0_PERP
 
 from oracles import (
-    C3,
     bfgs_recursion,
     dense_B0_hat,
     explicit_P_par,
@@ -66,7 +66,7 @@ def test_gamma_perp_parameter_table():
 
 
 def test_gamma_perp_before_any_pair_uses_fallback():
-    assert t.InitPolicy(gamma0_perp=3.5).gamma_perp() == pytest.approx(3.5)
+    assert t.InitPolicy().gamma_perp() == GAMMA0_PERP
 
 
 def test_policy_validation():
@@ -74,8 +74,6 @@ def test_policy_validation():
         t.InitPolicy(c=0.5)
     with pytest.raises(ValueError):
         t.InitPolicy(lam=1.5)
-    with pytest.raises(ValueError):
-        t.InitPolicy(gamma0_perp=0.0)
 
 
 def test_equal_scales_reduce_to_classical_inverse():
@@ -99,7 +97,7 @@ def test_hand_example_single_pair_two_scales():
     # one pair s=(1,0), y=(2,0): with gamma=1, gamma_perp=5 the dense matrix
     # is diag(2, 5); V = [s, y] is rank one, exercising the Gram fallback
     buf = t.PairBuffer(2, 1)
-    assert buf.try_push([1.0, 0.0], [2.0, 0.0], 1e-8)
+    assert buf.try_push([1.0, 0.0], [2.0, 0.0])
     inv = t.build_inverse(buf, gamma=1.0, gamma_perp=5.0)
     g = np.array([1.0, 1.0])
     p = t.unconstrained_step(inv, buf, g, buf.vt_dot(g))

@@ -1,9 +1,24 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import trlbfgs as t
 import trlbfgs.driver as driver
-from trlbfgs.driver import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITER, STATUS_STALLED
+from trlbfgs.driver import (
+    ETA1,
+    ETA2,
+    ETA3,
+    ETA4,
+    STATUS_CONVERGED,
+    STATUS_FAILED,
+    STATUS_MAX_ITER,
+    STATUS_STALLED,
+    TAU1,
+    TAU2,
+    TAU3,
+)
 
 from oracles import fill_buffer
 
@@ -42,28 +57,31 @@ def test_zero_gradient_start_returns_immediately():
     assert res.iterations == 0 and res.total_steps == 0
 
 
+def test_trust_region_constants_are_ordered():
+    assert 0 <= TAU1 < TAU2 < 0.5 < TAU3 < 1
+    assert 0 < ETA1 < ETA2 <= 0.5 < ETA3 < 1 < ETA4
+
+
 def test_radius_update_case_table():
     rng = np.random.default_rng(50)
-    cfg = t.SolverConfig()
     for _ in range(500):
         rho = float(rng.uniform(-1.5, 2.0))
         snorm = float(rng.uniform(0.0, 3.0))
         delta = float(rng.uniform(1e-3, 2.0))
-        new = t.radius_update(rho, snorm, delta, cfg)
-        if rho < cfg.tau2:
-            assert new == min(cfg.eta1 * delta, cfg.eta2 * snorm)
-            assert new <= cfg.eta1 * delta and new <= cfg.eta2 * snorm
-        elif rho >= cfg.tau3 and snorm >= cfg.eta3 * delta:
-            assert new == cfg.eta4 * delta
+        new = t.radius_update(rho, snorm, delta)
+        if rho < TAU2:
+            assert new == min(ETA1 * delta, ETA2 * snorm)
+            assert new <= ETA1 * delta and new <= ETA2 * snorm
+        elif rho >= TAU3 and snorm >= ETA3 * delta:
+            assert new == ETA4 * delta
         else:
             assert new == delta
 
 
 def test_rejected_step_shrinks_by_trial_norm():
-    cfg = t.SolverConfig()
     # rho below tau2: radius becomes min(eta1*delta, eta2*||s||)
-    assert t.radius_update(-0.5, 0.1, 1.0, cfg) == pytest.approx(min(0.25, 0.05))
-    assert t.radius_update(0.1, 2.0, 1.0, cfg) == pytest.approx(0.25)
+    assert t.radius_update(-0.5, 0.1, 1.0) == pytest.approx(min(0.25, 0.05))
+    assert t.radius_update(0.1, 2.0, 1.0) == pytest.approx(0.25)
 
 
 def test_trace_radius_sequence_is_consistent():
@@ -71,7 +89,7 @@ def test_trace_radius_sequence_is_consistent():
     cfg = t.SolverConfig(keep_trace=True, max_iter=200)
     res = t.minimize(prob, prob.x0, cfg)
     for prev, cur in zip(res.trace, res.trace[1:]):
-        expected = t.radius_update(prev.rho, prev.step_norm, prev.delta, cfg)
+        expected = t.radius_update(prev.rho, prev.step_norm, prev.delta)
         assert cur.delta == pytest.approx(expected, rel=1e-15)
 
 
@@ -138,21 +156,48 @@ def test_small_matrices_refresh_once_per_accepted_pair(monkeypatch):
     assert 0 < calls["build_inverse"] < res.total_steps
 
 
-@pytest.mark.parametrize(
-    "name, n, config, max_steps",
-    [
-        ("cosine_mixture", 1000, t.SolverConfig(conventional=True), 40),
-        ("trigonometric", 20, t.SolverConfig(), None),
-        ("cosine_mixture", 20, t.SolverConfig(c=2.0, lam=1.0), None),
-    ],
-)
-def test_stalled_run_stops_with_its_own_status(name, n, config, max_steps):
-    prob = t.get(name, n)
-    res = t.minimize(prob, prob.x0, config)
+def _load_references():
+    """``solverbench/references.py``, which checks answers from each problem's formula."""
+    path = Path(__file__).resolve().parents[1] / "solverbench" / "references.py"
+    spec = importlib.util.spec_from_file_location("solverbench_references", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [5, 50])
+@pytest.mark.parametrize("conventional", [False, True], ids=["dense", "conventional"])
+def test_stalled_run_stops_with_its_own_status(conventional, n):
+    # The gradient is off by a constant vector, so near its false stationary
+    # point every predicted decrease fails to materialize and the radius
+    # shrinks until the stall stop fires (28 steps at n = 5, 31 at n = 50).
+    prob = t.Problem(
+        "biased_sphere", n,
+        lambda x: 0.5 * float(x @ x),
+        lambda x: np.asarray(x, dtype=float) + 0.5,
+        np.ones(n),
+    )
+    res = t.minimize(prob, prob.x0, t.SolverConfig(conventional=conventional))
     assert res.status == STATUS_STALLED
     assert np.all(np.isfinite(res.x_final)) and np.isfinite(res.f_final)
-    if max_steps is not None:
-        assert res.total_steps <= max_steps
+    assert res.total_steps <= 40
+
+
+@pytest.mark.parametrize(
+    "name, n, config",
+    [
+        ("cosine_mixture", 1000, t.SolverConfig(conventional=True)),
+        ("trigonometric", 20, t.SolverConfig()),
+        ("cosine_mixture", 20, t.SolverConfig(c=2.0, lam=1.0)),
+    ],
+)
+def test_decrease_below_the_resolution_of_f_does_not_stall(name, n, config):
+    # These runs stalled when rho compared decreases lost in round-off;
+    # the shifted ratio lets them reach the stop test.
+    prob = t.get(name, n)
+    res = t.minimize(prob, prob.x0, config)
+    assert res.status == STATUS_CONVERGED
+    assert _load_references().failures(prob, prob.x0, res, config.epsilon) == []
 
 
 def test_initial_step_full_on_quadratic():
@@ -221,14 +266,6 @@ def test_non_finite_function_fails_at_last_good_iterate():
     assert res.x_final[0] <= 5.0
 
 
-def test_absolute_inf_norm_stop_rule():
-    prob = sphere(8)
-    cfg = t.SolverConfig(stop_rule="absolute-inf-norm", epsilon=1e-8)
-    res = t.minimize(prob, prob.x0, cfg)
-    assert res.status == STATUS_CONVERGED
-    assert np.max(np.abs(res.x_final)) <= 1e-8  # g = x for the sphere
-
-
 def test_max_iter_status():
     prob = t.get("gen_rosenbrock", 60)
     res = t.minimize(prob, prob.x0, t.SolverConfig(max_iter=5))
@@ -247,13 +284,7 @@ def test_hypothesis_observables_reported():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        t.SolverConfig(tau1=0.3, tau2=0.2)
-    with pytest.raises(ValueError):
-        t.SolverConfig(eta2=0.6)
-    with pytest.raises(ValueError):
         t.SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        t.SolverConfig(stop_rule="bogus")
     with pytest.raises(ValueError):
         t.SolverConfig(c=0.2)
 

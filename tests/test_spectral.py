@@ -4,7 +4,6 @@ import pytest
 import trlbfgs as t
 
 from oracles import (
-    C3,
     bfgs_recursion,
     dense_B0_hat,
     dense_compact,
@@ -15,7 +14,7 @@ from oracles import (
 
 def single_pair_buffer():
     buf = t.PairBuffer(2, 2)
-    assert buf.try_push([1.0, 0.0], [2.0, 0.0], 1e-8)
+    assert buf.try_push([1.0, 0.0], [2.0, 0.0])
     return buf
 
 
@@ -63,8 +62,8 @@ def test_factorize_collinear_duplicates_truncate_to_rank_one():
     rng = np.random.default_rng(5)
     s = rng.standard_normal(6)
     buf = t.PairBuffer(6, 3)
-    assert buf.try_push(s, 2.0 * s, C3)
-    assert buf.try_push(s, 2.0 * s, C3)
+    assert buf.try_push(s, 2.0 * s)
+    assert buf.try_push(s, 2.0 * s)
     fac = t.factorize(buf, gamma=1.0)
     assert fac.rank == 1
 

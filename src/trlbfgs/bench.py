@@ -2,12 +2,12 @@
 
 The ``bench`` command line has two subcommands.  ``bench run`` executes a
 matrix of solver configurations over registry problems, repeating each cell
-for timing (the first runs are discarded as warm-up) and writing the records
-as CSV and JSON.  ``bench profile`` reads ``records.json``, leaves it as
-it is, and writes performance-profile curves to ``profile_<metric>.tsv``:
-for each problem the metric is divided by the best value any solver
-achieved, and a curve reports the fraction of problems a solver solved
-within factor tau of the best.
+for timing (the first runs are discarded as warm-up), and writes
+``records.csv``, whose fields are quoted when they contain commas, and
+``records.json``.  ``bench profile`` reads ``records.json``, leaves it as it
+is, and writes ``profile_<metric>.tsv``: for each problem the metric is
+divided by the best value any solver achieved, and a solver's column reports
+the fraction of problems it solved within factor tau of the best.
 
 Solver specifications use the grammar
 ``dense:c=1,lambda=0.5,everywhere=true`` or ``conventional``.
@@ -22,11 +22,12 @@ count in the ``meta`` of ``records.json``.
 """
 
 import argparse
+import csv
 import json
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +38,10 @@ from .problems import PROBLEM_NAMES, Problem, get
 
 __all__ = [
     "RunRecord",
-    "ProfileCurve",
     "run_suite",
     "profile_ratios",
-    "rho_at",
-    "performance_profile",
-    "emit",
+    "write_records",
+    "write_profile",
     "load_records",
     "split_solver_specs",
     "parse_solver_spec",
@@ -50,17 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_OUT_DIR = "bench_out"
-CSV_COLUMNS = (
-    "problem",
-    "n",
-    "solver_id",
-    "iterations",
-    "total_steps",
-    "time_seconds",
-    "status",
-    "f_final",
-    "g_norm_final",
-)
 METRIC_FIELDS = {"iter": "iterations", "time": "time_seconds"}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Log grid for the profile curves; tau = 1 is the first point.
@@ -78,14 +66,6 @@ class RunRecord:
     status: str
     f_final: float
     g_norm_final: float
-
-
-@dataclass(frozen=True)
-class ProfileCurve:
-    solver_id: str
-    metric: str
-    taus: tuple
-    rhos: tuple
 
 
 def split_solver_specs(text: str) -> list[str]:
@@ -249,92 +229,45 @@ def profile_ratios(records: list[RunRecord], metric: str):
     return problem_keys, solver_ids, pi
 
 
-def rho_at(pi: np.ndarray, tau: float) -> np.ndarray:
-    """Fraction of problems within factor tau of the best, per solver."""
-    return (pi <= tau).sum(axis=0) / pi.shape[0]
-
-
-def performance_profile(
-    records: list[RunRecord], metric: str, taus: np.ndarray | None = None
-) -> list[ProfileCurve]:
-    """Profile curves over a log-spaced tau grid (denominator: all problems)."""
-    taus = TAU_GRID if taus is None else np.asarray(taus, dtype=float)
-    _, solver_ids, pi = profile_ratios(records, metric)
-    rho = np.stack([rho_at(pi, t) for t in taus])  # (len(taus), n_solvers)
-    return [
-        ProfileCurve(
-            solver_id=sid,
-            metric=metric,
-            taus=tuple(float(t) for t in taus),
-            rhos=tuple(float(r) for r in rho[:, j]),
-        )
-        for j, sid in enumerate(solver_ids)
-    ]
-
-
-def _record_to_row(r: RunRecord) -> list[str]:
-    return [
-        r.problem,
-        str(r.n),
-        r.solver_id,
-        str(r.iterations),
-        str(r.total_steps),
-        repr(r.time_seconds),
-        r.status,
-        repr(r.f_final),
-        repr(r.g_norm_final),
-    ]
-
-
-def emit(
-    records: list[RunRecord],
-    curves: list[ProfileCurve],
-    fmt: str,
-    out_dir,
-    meta: dict | None = None,
-) -> list[Path]:
-    """Write records/curves in one of the supported formats; returns the paths.
-
-    csv: the run records, fixed column order.  json: records plus the full
-    configuration for reproducibility.  tsv-profile: plot-ready rows of tau
-    and one rho column per solver.
-    """
+def write_records(records: list[RunRecord], out_dir, meta: dict) -> list[Path]:
+    """Write ``records.csv``, a column per ``RunRecord`` field, and ``records.json`` to out_dir."""
     out_dir = Path(out_dir)
+    csv_path = out_dir / "records.csv"
+    json_path = out_dir / "records.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            path = out_dir / "records.csv"
-            lines = [",".join(CSV_COLUMNS)]
-            lines += [",".join(_record_to_row(r)) for r in records]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            return [path]
-        if fmt == "json":
-            path = out_dir / "records.json"
-            payload = {
-                "meta": meta or {},
-                "records": [asdict(r) for r in records],
-            }
-            path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-            return [path]
-        if fmt == "tsv-profile":
-            if not curves:
-                raise ValueError("tsv-profile needs at least one curve")
-            path = out_dir / f"profile_{curves[0].metric}.tsv"
-            header = "tau\t" + "\t".join(c.solver_id for c in curves)
-            lines = [header]
-            for i, tau in enumerate(curves[0].taus):
-                lines.append(
-                    "\t".join([repr(tau)] + [repr(c.rhos[i]) for c in curves])
-                )
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            return [path]
+        with csv_path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(f.name for f in fields(RunRecord))
+            writer.writerows(astuple(r) for r in records)
+        payload = {"meta": meta, "records": [asdict(r) for r in records]}
+        json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write benchmark output under {out_dir}: {exc}") from exc
-    raise ValueError(f"unknown format {fmt!r}")
+    return [csv_path, json_path]
+
+
+def write_profile(records: list[RunRecord], metric: str, out_dir) -> Path:
+    """Write ``profile_<metric>.tsv``, the profile of ``records`` over ``TAU_GRID``."""
+    if not records:
+        raise ValueError("no records to profile")
+    _, solver_ids, pi = profile_ratios(records, metric)
+    lines = ["\t".join(["tau", *solver_ids])]
+    for tau in TAU_GRID:
+        rho = (pi <= tau).sum(axis=0) / pi.shape[0]
+        lines.append("\t".join(repr(float(v)) for v in (tau, *rho)))
+    out_dir = Path(out_dir)
+    path = out_dir / f"profile_{metric}.tsv"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write benchmark output under {out_dir}: {exc}") from exc
+    return path
 
 
 def load_records(path) -> tuple[list[RunRecord], dict]:
-    """Read back records.json written by ``emit``."""
+    """Read back records.json written by ``write_records``."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     records = [RunRecord(**r) for r in payload["records"]]
     return records, payload.get("meta", {})
@@ -372,8 +305,7 @@ def _cmd_run(args) -> int:
         "solver_config_base": base,
         "environment": _environment(),
     }
-    paths = emit(records, [], "csv", args.out)
-    paths += emit(records, [], "json", args.out, meta=meta)
+    paths = write_records(records, args.out, meta)
     for r in records:
         print(
             f"{r.solver_id} {r.problem} n={r.n}: {r.status}, "
@@ -387,10 +319,7 @@ def _cmd_run(args) -> int:
 def _cmd_profile(args) -> int:
     in_dir = Path(args.in_dir)
     records, _ = load_records(in_dir / "records.json")
-    curves = performance_profile(records, args.metric)
-    paths = emit(records, curves, "tsv-profile", args.out or in_dir)
-    for p in paths:
-        print(f"wrote {p}")
+    print(f"wrote {write_profile(records, args.metric, args.out or in_dir)}")
     return 0
 
 

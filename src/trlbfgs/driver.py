@@ -60,7 +60,8 @@ STATUS_STALLED = "stalled"
 TAU1, TAU2, TAU3 = 0.0, 0.25, 0.75
 ETA1, ETA2, ETA3, ETA4 = 0.25, 0.5, 0.8, 2.0
 DELTA0 = 1.0
-# Halvings the initial backtracking search tries before it gives up.
+# Sufficient-decrease constant and halving budget of the initial backtracking search.
+ARMIJO = 1e-4
 MAX_HALVINGS = 50
 
 
@@ -159,15 +160,14 @@ def radius_update(rho: float, step_norm: float, delta: float) -> float:
 def initial_point_step(
     problem,
     x0,
-    armijo: float = 1e-4,
-    max_halvings: int = MAX_HALVINGS,
     f0: float | None = None,
     g0: np.ndarray | None = None,
 ) -> InitialStep:
     """Backtracking step along the normalized steepest-descent direction.
 
-    Halves the step from t = 1 until the sufficient-decrease inequality
-    holds, producing the point that seeds the first curvature pair.
+    Halves the step from t = 1, at most ``MAX_HALVINGS`` times, until
+    ``f(x0 + t*d) <= f0 - ARMIJO*t*||g0||`` holds, producing the point that
+    seeds the first curvature pair.
     ``f0``/``g0`` may carry already-computed values at ``x0``; the returned
     ``f_evals`` counts only the trial evaluations performed here.
     """
@@ -182,16 +182,16 @@ def initial_point_step(
     d = -g0 / gnorm
     t = 1.0
     f_evals = 0
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         x1 = x0 + t * d
         f1 = float(problem.eval_f(x1))
         f_evals += 1
-        if math.isfinite(f1) and f1 <= f0 - armijo * t * gnorm:
+        if math.isfinite(f1) and f1 <= f0 - ARMIJO * t * gnorm:
             g1 = np.asarray(problem.eval_g(x1), dtype=float)
             return InitialStep(x1=x1, g1=g1, f1=f1, f_evals=f_evals)
         t *= 0.5
     raise LineSearchError(
-        f"no sufficient decrease along steepest descent after {max_halvings} halvings"
+        f"no sufficient decrease along steepest descent after {MAX_HALVINGS} halvings"
     )
 
 

@@ -46,9 +46,6 @@ class PairBuffer:
         self.gram_YY = np.empty((0, 0))
         self.rejected = 0
 
-    def __len__(self) -> int:
-        return self.count
-
     @property
     def S(self) -> np.ndarray:
         return self._s_rows[: self.count].T

@@ -24,14 +24,9 @@ class Problem:
     f_opt_hint: float | None = None
 
 
-def _quad_diag(n: int, condition: float | None = None) -> Problem:
-    """Convex diagonal quadratic; eigenvalues spread linearly up to ``condition``."""
-    if condition is None:
-        d = np.arange(1.0, n + 1.0)
-    else:
-        if condition < 1:
-            raise ValueError("condition must be >= 1")
-        d = np.linspace(1.0, float(condition), n)
+def _quad_diag(n: int) -> Problem:
+    """Convex diagonal quadratic with eigenvalues 1, 2, ..., n."""
+    d = np.arange(1.0, n + 1.0)
 
     def f(x):
         return 0.5 * float(x @ (d * x))
@@ -283,7 +278,7 @@ _FACTORIES: dict[str, Callable[..., Problem]] = {
 PROBLEM_NAMES = tuple(_FACTORIES)
 
 
-def get(name: str, n: int, **params) -> Problem:
+def get(name: str, n: int) -> Problem:
     """Build one problem by name at dimension n.
 
     Raises KeyError for unknown names and ValueError for dimensions a
@@ -293,7 +288,7 @@ def get(name: str, n: int, **params) -> Problem:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; available: {', '.join(PROBLEM_NAMES)}") from None
-    return factory(n, **params)
+    return factory(n)
 
 
 def registry(n: int = 1000) -> list[Problem]:

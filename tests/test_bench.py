@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 
 from trlbfgs.bench import (
     BLAS_THREAD_VARS,
+    TAU_GRID,
     RunRecord,
     main,
     parse_solver_spec,
     profile_ratios,
     split_solver_specs,
+    write_profile,
+    write_records,
 )
 
 DENSE_ID = "dense(c=1,lambda=0.5,everywhere=true)"
@@ -169,3 +173,45 @@ def test_profile_ratios_rejects_duplicates_and_unknown_metric():
     assert keys == [("a", 10), ("a", 20)]
     with pytest.raises(ValueError, match="metric"):
         profile_ratios([record("a", "x", 4)], "steps")
+
+
+def test_records_csv_quotes_the_dense_solver_id(tmp_path):
+    # The dense id contains commas; unquoted, its row splits into 11 fields.
+    records = [record("a", DENSE_ID, 4), record("a", "conventional", 5)]
+    write_records(records, tmp_path, meta={})
+    with (tmp_path / "records.csv").open(encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["problem", "n", "solver_id", "iterations", "total_steps",
+                      "time_seconds", "status", "f_final", "g_norm_final"]
+    assert [len(row) for row in rows] == [len(header)] * len(records)
+    assert [row[header.index("solver_id")] for row in rows] == [DENSE_ID, "conventional"]
+
+
+def test_profile_fractions_at_tau_one_and_two(tmp_path):
+    records = [
+        record("a", "x", 4),
+        record("a", "y", 6),
+        record("b", "x", 5, status="max_iter"),
+        record("b", "y", 10),
+        record("c", "x", 3),
+        record("c", "y", 3),
+        record("d", "x", 2),
+        record("d", "y", 5),
+    ]
+    path = write_profile(records, "iter", tmp_path)
+    assert path == tmp_path / "profile_iter.tsv"
+    header, *rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+    assert header == ["tau", "x", "y"]
+    table = np.array(rows, dtype=float)
+    assert table[:, 0].tolist() == TAU_GRID.tolist()
+    # tau = 1: x is best on a and d, y on b, and the tie on c counts for both.
+    assert table[0, 1:].tolist() == [0.75, 0.5]
+    # tau = 2: y is within 1.5 of the best on a; x failed on b, which never counts.
+    assert table[TAU_GRID <= 2.0][-1, 1:].tolist() == [0.75, 0.75]
+    assert table[-1, 1:].tolist() == [0.75, 1.0]
+
+
+def test_profile_of_no_records_raises(tmp_path):
+    with pytest.raises(ValueError, match="no records"):
+        write_profile([], "iter", tmp_path)
+    assert not (tmp_path / "profile_iter.tsv").exists()

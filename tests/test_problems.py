@@ -41,13 +41,6 @@ def test_quad_diag_default_spectrum():
     assert prob.eval_f(np.zeros(5)) == 0.0
 
 
-def test_quad_diag_condition_parameter():
-    prob = t.get("quad_diag", 4, condition=100.0)
-    g = prob.eval_g(np.ones(4))
-    assert g[0] == pytest.approx(1.0)
-    assert g[-1] == pytest.approx(100.0)
-
-
 def test_ext_rosenbrock_minimizer():
     prob = t.get("ext_rosenbrock", 6)
     assert prob.eval_f(np.ones(6)) == 0.0
@@ -130,5 +123,3 @@ def test_dimension_constraints_raise():
         t.get("ext_rosenbrock", 7)
     with pytest.raises(ValueError):
         t.get("ext_powell", 6)
-    with pytest.raises(ValueError):
-        t.get("quad_diag", 4, condition=0.5)

@@ -225,7 +225,10 @@ def profile_ratios(records: list[RunRecord], metric: str):
     for i in range(values.shape[0]):
         best = values[i].min()
         if np.isfinite(best):
-            pi[i] = values[i] / best
+            # Against a clamped 0 (tiny) a ratio can exceed the largest
+            # float; it is then inf, which lies beyond TAU_GRID either way.
+            with np.errstate(over="ignore"):
+                pi[i] = values[i] / best
     return problem_keys, solver_ids, pi
 
 
@@ -266,11 +269,10 @@ def write_profile(records: list[RunRecord], metric: str, out_dir) -> Path:
     return path
 
 
-def load_records(path) -> tuple[list[RunRecord], dict]:
-    """Read back records.json written by ``write_records``."""
+def load_records(path) -> list[RunRecord]:
+    """Read back the records of a records.json written by ``write_records``; its meta is not read."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    records = [RunRecord(**r) for r in payload["records"]]
-    return records, payload.get("meta", {})
+    return [RunRecord(**r) for r in payload["records"]]
 
 
 def _environment() -> dict:
@@ -290,8 +292,9 @@ def _cmd_run(args) -> int:
     ]
     problems = [get(name, args.n) for name in names]
     base = dict(m=args.m, epsilon=args.epsilon, max_iter=args.max_iter)
+    specs = split_solver_specs(args.solvers)
     configs = []
-    for spec in split_solver_specs(args.solvers):
+    for spec in specs:
         solver_id, solver_overrides = parse_solver_spec(spec)
         configs.append((solver_id, SolverConfig(**base, **solver_overrides)))
 
@@ -301,7 +304,7 @@ def _cmd_run(args) -> int:
         "repetitions": args.reps,
         "discard": args.discard,
         "problems": names,
-        "solver_specs": split_solver_specs(args.solvers),
+        "solver_specs": specs,
         "solver_config_base": base,
         "environment": _environment(),
     }
@@ -318,7 +321,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_profile(args) -> int:
     in_dir = Path(args.in_dir)
-    records, _ = load_records(in_dir / "records.json")
+    records = load_records(in_dir / "records.json")
     print(f"wrote {write_profile(records, args.metric, args.out or in_dir)}")
     return 0
 

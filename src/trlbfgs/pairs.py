@@ -4,8 +4,8 @@ A :class:`PairBuffer` holds the ``m`` most recent accepted pairs ``(s, y)``
 (oldest first) together with the small cross-product blocks ``S^T S``,
 ``S^T Y`` and ``Y^T Y``.  Each pair is stored once, as one row of a
 preallocated ``(m, n)`` array per vector, and the blocks are maintained
-incrementally, one appended row/column per accepted pair, so the
-n-dimensional work per push stays O(m n).
+incrementally in preallocated ``(m, m)`` arrays, one row/column written per
+accepted pair, so the n-dimensional work per push stays O(m n).
 
 A pair is accepted when ``s^T y > C3 ||s|| ||y||``.  ``C3`` is fixed at
 1e-8 because every caller uses that value.
@@ -25,11 +25,12 @@ class PairBuffer:
 
     Attributes:
         S, Y: n-by-m' column matrices of the stored pairs, oldest first.
-            They are views of the row storage: the next accepted pair may
-            overwrite them, so copy what must outlive a push.
         gram_SS, gram_SY, gram_YY: cached m'-by-m' blocks ``S^T S``,
             ``S^T Y`` and ``Y^T Y``.
         rejected: number of pairs turned away by the acceptance test.
+
+    ``S``, ``Y`` and the Gram blocks are views of preallocated storage: the
+    next accepted pair may overwrite them, so copy what must outlive a push.
     """
 
     def __init__(self, n: int, m: int):
@@ -41,9 +42,15 @@ class PairBuffer:
         # Row i holds the i-th oldest pair, so S^T x is a contiguous gemv.
         self._s_rows = np.empty((self.m, self.n))
         self._y_rows = np.empty((self.m, self.n))
-        self.gram_SS = np.empty((0, 0))
-        self.gram_SY = np.empty((0, 0))
-        self.gram_YY = np.empty((0, 0))
+        # Entry (i, j) of each block pairs the i-th and j-th oldest pairs.
+        self._ss = np.empty((self.m, self.m))
+        self._sy = np.empty((self.m, self.m))
+        self._yy = np.empty((self.m, self.m))
+        # The leading size-by-size corner of a triangle mask is the mask of
+        # that size, so one mask serves every count (and the 2m'-by-2m'
+        # Gram of Psi).
+        self._strict_lower = np.tri(2 * self.m, k=-1, dtype=bool)
+        self._diagonal = np.eye(self.m, dtype=bool)
         self.rejected = 0
 
     @property
@@ -53,6 +60,18 @@ class PairBuffer:
     @property
     def Y(self) -> np.ndarray:
         return self._y_rows[: self.count].T
+
+    @property
+    def gram_SS(self) -> np.ndarray:
+        return self._ss[: self.count, : self.count]
+
+    @property
+    def gram_SY(self) -> np.ndarray:
+        return self._sy[: self.count, : self.count]
+
+    @property
+    def gram_YY(self) -> np.ndarray:
+        return self._yy[: self.count, : self.count]
 
     def try_push(self, s, y) -> bool:
         """Append ``(s, y)`` if it passes ``s^T y > C3 ||s|| ||y||``.
@@ -82,20 +101,22 @@ class PairBuffer:
             for rows in (self._s_rows, self._y_rows):
                 flat = rows.reshape(-1)
                 flat[: -self.n] = flat[self.n :]
-            self.gram_SS = self.gram_SS[1:, 1:].copy()
-            self.gram_SY = self.gram_SY[1:, 1:].copy()
-            self.gram_YY = self.gram_YY[1:, 1:].copy()
+            for block in (self._ss, self._sy, self._yy):
+                block[:-1, :-1] = block[1:, 1:]
             k -= 1
 
-        # Cross products against the surviving rows, then grow each block.
+        # Cross products against the surviving rows fill the new row and column.
         S_rows, Y_rows = self._s_rows[:k], self._y_rows[:k]
         Ss = S_rows @ s
-        Sy = S_rows @ y
         Ys = Y_rows @ s
         Yy = Y_rows @ y
-        self.gram_SS = _grow(self.gram_SS, Ss, Ss, ss)
-        self.gram_SY = _grow(self.gram_SY, Sy, Ys, sy)
-        self.gram_YY = _grow(self.gram_YY, Yy, Yy, yy)
+        self._ss[:k, k] = self._ss[k, :k] = Ss
+        self._sy[:k, k] = S_rows @ y
+        self._sy[k, :k] = Ys
+        self._yy[:k, k] = self._yy[k, :k] = Yy
+        self._ss[k, k] = ss
+        self._sy[k, k] = sy
+        self._yy[k, k] = yy
 
         self._s_rows[k] = s
         self._y_rows[k] = y
@@ -106,13 +127,26 @@ class PairBuffer:
         """``V^T x = [S^T x; Y^T x]`` with ``V = [S, Y]``, two gemvs over the rows."""
         return np.concatenate([self.S.T @ x, self.Y.T @ x])
 
+    def strict_lower(self, size: int) -> np.ndarray:
+        """Boolean mask of the strictly lower triangle of a size-by-size matrix, ``size <= 2m``."""
+        return self._strict_lower[:size, :size]
+
     def triangular_views(self):
-        """Split ``S^T Y`` into (L, D, T): strictly lower, diagonal, upper with diagonal."""
+        """Split ``S^T Y`` into (L, D, T): strictly lower, diagonal, upper with diagonal.
+
+        Each part is selected from ``S^T Y`` through a boolean mask cached at
+        construction (the strictly lower triangle and the diagonal), sliced
+        to the current count, so no mask is built per call.  Entries outside
+        a part are +0.0, as with ``np.tril``, ``np.triu`` and ``np.diag``.
+        """
         if self.count == 0:
             raise EmptyHistoryError("triangular views need at least one stored pair")
-        L = np.tril(self.gram_SY, -1)
-        T = np.triu(self.gram_SY)
-        D = np.diag(np.diag(self.gram_SY))
+        k = self.count
+        SY = self.gram_SY
+        lower = self.strict_lower(k)
+        L = np.where(lower, SY, 0.0)
+        D = np.where(self._diagonal[:k, :k], SY, 0.0)
+        T = np.where(lower, 0.0, SY)
         return L, D, T
 
     def violations(self) -> int:
@@ -121,13 +155,3 @@ class PairBuffer:
         ss = np.diag(self.gram_SS)
         yy = np.diag(self.gram_YY)
         return int(np.count_nonzero(~(sy > C3 * np.sqrt(ss) * np.sqrt(yy))))
-
-
-def _grow(block: np.ndarray, col: np.ndarray, row: np.ndarray, corner: float) -> np.ndarray:
-    k = block.shape[0]
-    out = np.empty((k + 1, k + 1))
-    out[:k, :k] = block
-    out[:k, k] = col
-    out[k, :k] = row
-    out[k, k] = corner
-    return out

@@ -2,10 +2,13 @@
 
 Everything here is allowed to form n-by-n matrices and explicit basis
 matrices; the production modules never do.  The oracles only share plain
-numpy with the code under test.
+numpy with the code under test.  Where a test needs the exact floats of a
+production path, the oracle computes them with scipy's public wrappers,
+which the production modules bypass.
 """
 
 import numpy as np
+from scipy.linalg import cholesky, solve_triangular
 
 import trlbfgs as t
 
@@ -88,3 +91,25 @@ def fill_buffer(rng, n, count, m=None, pairs=None):
     for s, y in pairs if pairs is not None else random_pairs(rng, n, count):
         assert buf.try_push(s, y)
     return buf
+
+
+def scipy_inverse_middle(buffer, gamma, gamma_perp):
+    """``M_hat`` of ``build_inverse`` through scipy's wrappers and numpy's assembly helpers."""
+    k = buffer.count
+    SY = buffer.gram_SY
+    T = np.triu(SY)
+    D = np.diag(np.diag(SY))
+    inner = D + buffer.gram_YY / gamma
+    tmp = solve_triangular(T, inner, trans="T", lower=False)
+    A11 = solve_triangular(T, tmp.T, trans="T", lower=False).T
+    A11 = 0.5 * (A11 + A11.T)
+    Tinv = solve_triangular(T, np.eye(k), lower=False)
+    M_hat = np.block([[A11, -Tinv.T / gamma], [-Tinv / gamma, np.zeros((k, k))]])
+    alpha = 1.0 / gamma - 1.0 / gamma_perp
+    VtV = np.block([[buffer.gram_SS, SY], [SY.T, buffer.gram_YY]])
+    if alpha != 0.0:
+        # Only for a positive definite V^T V; build_inverse's fallback is not mirrored.
+        R = cholesky(VtV, lower=False)
+        Rinv = solve_triangular(R, np.eye(2 * k), lower=False)
+        M_hat += alpha * (Rinv @ Rinv.T)
+    return 0.5 * (M_hat + M_hat.T)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from trlbfgs.bench import (
     BLAS_THREAD_VARS,
     TAU_GRID,
     RunRecord,
+    load_records,
     main,
     parse_solver_spec,
     profile_ratios,
@@ -215,3 +217,17 @@ def test_profile_of_no_records_raises(tmp_path):
     with pytest.raises(ValueError, match="no records"):
         write_profile([], "iter", tmp_path)
     assert not (tmp_path / "profile_iter.tsv").exists()
+
+
+def test_profile_ratio_beyond_the_largest_float_is_inf_without_warning():
+    # 4/tiny overflows; the ratio is inf, and tier-1 turns the warning into an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, pi = profile_ratios([record("a", "x", 0), record("a", "y", 4)], "iter")
+    assert pi.tolist() == [[1.0, np.inf]]
+
+
+def test_load_records_returns_the_records_written(tmp_path):
+    records = [record("a", DENSE_ID, 4), record("b", "conventional", 5, status="max_iter")]
+    write_records(records, tmp_path, {"n": 10})
+    assert load_records(tmp_path / "records.json") == records

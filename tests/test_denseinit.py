@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import trlbfgs as t
+import trlbfgs.denseinit as denseinit
 from trlbfgs.denseinit import GAMMA0_PERP
 
 from oracles import (
@@ -10,6 +11,7 @@ from oracles import (
     explicit_P_par,
     fill_buffer,
     quadratic_pairs,
+    scipy_inverse_middle,
 )
 
 
@@ -103,6 +105,41 @@ def test_hand_example_single_pair_two_scales():
     p = t.unconstrained_step(inv, buf, g, buf.vt_dot(g))
     assert np.abs(p - [-0.5, -0.2]).max() <= 1e-12
     assert t.unconstrained_norm(inv, g, buf.vt_dot(g)) == pytest.approx(np.sqrt(0.25 + 0.04), abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+@pytest.mark.parametrize("gamma, gamma_perp", [(1.3, 4.0), (4.0, 1.3), (1.3, 1.3)])
+def test_build_inverse_matches_the_scipy_wrappers_bitwise(count, gamma, gamma_perp):
+    # Unequal scales run the Cholesky branch (dpotrf); m = 3 with 5 pairs
+    # also runs the eviction of the Gram blocks.
+    rng = np.random.default_rng(33)
+    buf = fill_buffer(rng, 9, count, m=min(count, 3))
+    inv = t.build_inverse(buf, gamma, gamma_perp)
+    assert np.array_equal(inv.M_hat, scipy_inverse_middle(buf, gamma, gamma_perp))
+    VtV = np.block([[buf.gram_SS, buf.gram_SY], [buf.gram_SY.T, buf.gram_YY]])
+    assert np.array_equal(inv.VtV, VtV)
+
+
+def test_collinear_duplicate_pairs_reach_the_gram_fallback(monkeypatch):
+    # The same pair twice makes V^T V exactly singular: dpotrf reports it and
+    # build_inverse switches to the thresholded inverse.  B is unchanged by
+    # the repeat, so the step matches the single-pair hand example.
+    calls = []
+    real = denseinit._gram_pinv
+
+    def spy(G, *args):
+        calls.append(G.shape)
+        return real(G, *args)
+
+    monkeypatch.setattr(denseinit, "_gram_pinv", spy)
+    buf = t.PairBuffer(2, 2)
+    assert buf.try_push([1.0, 0.0], [2.0, 0.0])
+    assert buf.try_push([1.0, 0.0], [2.0, 0.0])
+    inv = t.build_inverse(buf, gamma=1.0, gamma_perp=5.0)
+    assert calls == [(4, 4)]
+    g = np.array([1.0, 1.0])
+    p = t.unconstrained_step(inv, buf, g, buf.vt_dot(g))
+    assert np.abs(p - [-0.5, -0.2]).max() <= 1e-12
 
 
 def test_inverse_identity_dense():

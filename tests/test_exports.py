@@ -1,8 +1,15 @@
+import ast
 import importlib
+import inspect
 
 import pytest
 
 SUBMODULES = ("bench", "denseinit", "driver", "pairs", "problems", "spectral", "subproblem")
+# Modules that run once per step or once per accepted pair.
+STEP_MODULES = ("denseinit", "pairs", "spectral", "subproblem")
+# scipy's validating wrappers and numpy's general assembly helpers; at
+# n = 10^3 their overhead outweighs the 2m'-dimensional work they wrap.
+WRAPPERS = ("solve_triangular", "cholesky", "block", "tril", "triu")
 
 
 @pytest.mark.parametrize("name", ["trlbfgs"] + [f"trlbfgs.{m}" for m in SUBMODULES])
@@ -10,3 +17,16 @@ def test_every_public_name_exists(name):
     # A name left in __all__ after its definition was deleted fails here, not at a caller.
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+@pytest.mark.parametrize("name", STEP_MODULES)
+def test_step_path_calls_no_wrapper(name):
+    # Code only: docstrings may name the wrappers they replace.
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"trlbfgs.{name}")))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in WRAPPERS:
+            found.append(ast.unparse(node))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [alias.name for alias in node.names if alias.name.split(".")[-1] in WRAPPERS]
+    assert found == []

@@ -163,6 +163,21 @@ def test_triangular_views_reassemble_exactly():
     assert np.all(np.diag(T) > 0)
 
 
+def test_triangular_views_match_the_numpy_helpers_bitwise():
+    # Same entries, +0.0 elsewhere (so -D keeps its signed zeros), and
+    # C order, which decides the branch of solve_upper downstream; for
+    # every count, through evictions.
+    rng = np.random.default_rng(18)
+    buf = PairBuffer(12, 3)
+    for s, y in random_pairs(rng, 12, 6):
+        assert buf.try_push(s, y)
+        SY = np.array(buf.gram_SY)
+        want = (np.tril(SY, -1), np.diag(np.diag(SY)), np.triu(SY))
+        for got, ref in zip(buf.triangular_views(), want):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_triangular_views_empty_buffer_raises():
     with pytest.raises(EmptyHistoryError):
         PairBuffer(3, 2).triangular_views()

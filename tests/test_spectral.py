@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import trlbfgs as t
+from trlbfgs.spectral import solve_upper
 
 from oracles import (
     bfgs_recursion,
@@ -45,6 +47,29 @@ def test_compact_representation_matches_dense_recursion():
     Psi = np.hstack([gamma * buf.S, buf.Y])
     B = gamma * np.eye(n) + Psi @ M @ Psi.T
     assert np.abs(B - B_ref).max() <= 1e-9
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("trans", [0, 1])
+@pytest.mark.parametrize("size", [1, 10])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_solve_upper_matches_solve_triangular_bitwise(order, trans, size, columns):
+    rng = np.random.default_rng(7)
+    # Entries below the diagonal must be ignored, as scipy ignores them.
+    U = rng.standard_normal((size, size)) + size * np.eye(size)
+    U = np.asarray(U, order=order)
+    b = rng.standard_normal(size if columns is None else (size, columns))
+    got = solve_upper(U, b, trans)
+    assert np.array_equal(got, solve_triangular(U, b, trans=trans, lower=False))
+    assert got.shape == b.shape
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_upper_zero_diagonal_raises(order):
+    U = np.asarray(np.triu(np.ones((4, 4))), order=order)
+    U[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 2"):
+        solve_upper(U, np.ones(4))
 
 
 def test_factorize_single_pair_example():

@@ -7,7 +7,9 @@ complement.  Products with the inverse of the resulting quasi-Newton matrix
 use a compact representation built from ``V = [S, Y]`` and cost O(m n); the
 norm of the full quasi-Newton step is available in O(m^2) without forming the
 step itself.  The representation depends only on the stored pairs and the two
-scales, so the driver builds it once per accepted pair.
+scales, so the driver builds it once per accepted pair.  The step and its
+norm take ``V^T g``, ``g^T g`` and ``w = M_hat V^T g`` from the caller, which
+forms the first two once per accepted step and ``w`` once per trial step.
 
 The Cholesky factorization and the triangular solves call LAPACK directly:
 ``dpotrf`` with the arguments ``scipy.linalg.cholesky`` gives it, and
@@ -17,6 +19,7 @@ blocks they would check are finite because every stored pair is.  The same
 routines run on the same arguments, so the floats are unchanged.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +106,12 @@ def build_inverse(buffer: PairBuffer, gamma: float, gamma_perp: float) -> Invers
     tmp = solve_upper(T, inner, trans=1)
     A11 = solve_upper(T, tmp.T, trans=1).T
     A11 = 0.5 * (A11 + A11.T)
-    Tinv = solve_upper(T, np.eye(k))
+    Tinv = solve_upper(T, buffer.identity(k))
     M_hat = np.empty((2 * k, 2 * k))
     M_hat[:k, :k] = A11
-    M_hat[:k, k:] = -Tinv.T / gamma
-    M_hat[k:, :k] = -Tinv / gamma
+    off = -Tinv / gamma
+    M_hat[:k, k:] = off.T
+    M_hat[k:, :k] = off
     M_hat[k:, k:] = 0.0
 
     alpha = 1.0 / gamma - 1.0 / gamma_perp
@@ -121,7 +125,7 @@ def build_inverse(buffer: PairBuffer, gamma: float, gamma_perp: float) -> Invers
                 raise np.linalg.LinAlgError(f"leading minor {info} of V^T V is not positive definite")
             if info < 0:
                 raise ValueError(f"illegal value in argument {-info} of dpotrf")
-            Rinv = solve_upper(R, np.eye(2 * k))
+            Rinv = solve_upper(R, buffer.identity(2 * k))
             M_hat += alpha * (Rinv @ Rinv.T)
         except np.linalg.LinAlgError:
             M_hat += alpha * _gram_pinv(VtV)
@@ -145,25 +149,23 @@ def _gram_pinv(G: np.ndarray, rel_tol: float = 1e-14) -> np.ndarray:
     return (Qk / w[keep]) @ Qk.T
 
 
-def unconstrained_step(inv: InverseRep, buffer: PairBuffer, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Full quasi-Newton step ``-B^{-1} g`` in O(m n), given ``u = V^T g``."""
+def unconstrained_step(inv: InverseRep, buffer: PairBuffer, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Full quasi-Newton step ``-B^{-1} g`` in O(m n), given ``w = M_hat V^T g``."""
     if buffer.count == 0:
         return -g / inv.gamma_perp
-    w = inv.M_hat @ u
     k = buffer.count
     return -(g / inv.gamma_perp + buffer.S @ w[:k] + buffer.Y @ w[k:])
 
 
-def unconstrained_norm(inv: InverseRep, g: np.ndarray, u: np.ndarray) -> float:
-    """Two-norm of the full quasi-Newton step without forming it, given ``u = V^T g``.
+def unconstrained_norm(inv: InverseRep, gg: float, u: np.ndarray, w: np.ndarray) -> float:
+    """Two-norm of the full quasi-Newton step without forming it.
 
-    Expands ``g^T B^{-2} g`` in the 2m'-dimensional space:
-    ``||g||^2/gamma_perp^2 + (2/gamma_perp) u^T M_hat u + w^T (V^T V) w`` with
-    ``w = M_hat u``; only small-matrix products and one ``||g||`` remain.
+    Takes ``gg = g^T g``, ``u = V^T g`` and ``w = M_hat u`` and expands
+    ``g^T B^{-2} g`` in the 2m'-dimensional space:
+    ``gg/gamma_perp^2 + (2/gamma_perp) u^T w + w^T (V^T V) w``; only
+    small-matrix products remain.
     """
-    gg = float(g @ g)
     if u.size == 0:
-        return float(np.sqrt(gg)) / inv.gamma_perp
-    w = inv.M_hat @ u
+        return math.sqrt(gg) / inv.gamma_perp
     val = gg / inv.gamma_perp**2 + 2.0 / inv.gamma_perp * float(u @ w) + float(w @ (inv.VtV @ w))
-    return float(np.sqrt(max(0.0, val)))
+    return math.sqrt(max(0.0, val))

@@ -7,10 +7,14 @@ taken directly; otherwise the subproblem is solved exactly in decoupled
 closed form.  Acceptance and radius updates follow the classical ratio
 test, with the step measured in the shape-changing norm.
 
-Everything that depends only on the stored pairs (the scales gamma and
-gamma_perp, the spectral factorization and the compact inverse) is rebuilt
-once per accepted pair, not once per step.  A run whose radius falls below
-the resolution of x, ``eps*max(1, ||x||)``, stops with status ``stalled``.
+Each quantity is computed once per state it depends on.  What depends only
+on the stored pairs (the scales gamma and gamma_perp, the spectral
+factorization and the compact inverse) is rebuilt once per accepted pair.
+What depends on the gradient as well, ``g^T g`` and ``V^T g``, is formed
+once per accepted step and reused by every rejected step that follows; the
+trial point ``x + p`` is formed once and becomes x on acceptance.  A run
+whose radius falls below the resolution of x, ``eps*max(1, ||x||)``, stops
+with status ``stalled``.
 
 The ratio ``rho`` of actual to predicted decrease is computed with both
 shifted by ``10*eps*|f|`` (Conn, Gould & Toint, *Trust-Region Methods*,
@@ -144,8 +148,9 @@ class InitialStep(NamedTuple):
     f_evals: int
 
 
-def _stopped(x_norm: float, g: np.ndarray, config: SolverConfig) -> bool:
-    return np.linalg.norm(g) <= config.epsilon * max(1.0, x_norm)
+def _stopped(x_norm: float, gg: float, config: SolverConfig) -> bool:
+    # np.linalg.norm(g) is sqrt(g.dot(g)), so this is the same test on ||g||.
+    return math.sqrt(gg) <= config.epsilon * max(1.0, x_norm)
 
 
 def radius_update(rho: float, step_norm: float, delta: float) -> float:
@@ -200,6 +205,8 @@ def step_selection(
     fac,
     inv,
     g: np.ndarray,
+    u: np.ndarray,
+    gg: float,
     delta: float,
     gamma_perp: float,
 ) -> StepChoice:
@@ -209,17 +216,20 @@ def step_selection(
     the current pairs.  The cheap test and the full step use ``inv``, whose
     perpendicular scale the caller chose (gamma itself when the two-scale
     initialization is confined to the constrained branch); the constrained
-    branch applies ``gamma_perp``.  ``V^T g`` is formed once and serves both.
+    branch applies ``gamma_perp``.  ``u = V^T g`` and ``gg = g^T g`` serve
+    both branches and change only with g or the pairs, so the caller forms
+    them once per accepted step; ``w = M_hat u`` is formed here once and
+    serves both the norm test and the full step.
     """
-    u = buffer.vt_dot(g)
-    pu_norm = unconstrained_norm(inv, g, u)
+    w = inv.M_hat @ u
+    pu_norm = unconstrained_norm(inv, gg, u, w)
     if pu_norm <= delta:
-        p = unconstrained_step(inv, buffer, g, u)
+        p = unconstrained_step(inv, buffer, g, w)
         # Exact model value of the unconstrained minimizer: -0.5 g^T B^{-1} g.
         return StepChoice(p, True, 0.5 * float(g @ p))
 
     g_par = apply_P_par_T(fac, u)
-    gp_norm = float(np.sqrt(perp_norm_sq(g, g_par)))
+    gp_norm = math.sqrt(perp_norm_sq(gg, g_par))
     lambdas = fac.lam_hat + fac.gamma
     zero_tol = 1e-12 * max(1.0, abs(fac.gamma))
     v_par = solve_parallel(g_par, lambdas, delta, zero_tol)
@@ -274,7 +284,7 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     # ||x|| changes only when a step is accepted; the stop test and the
     # stall test share it.
     x_norm = float(np.linalg.norm(x))
-    if _stopped(x_norm, g, config):
+    if _stopped(x_norm, float(g @ g), config):
         return result(STATUS_CONVERGED, fx, g, 0, 0, f_evals, g_evals)
 
     # Seed the history with a backtracking steepest-descent step.
@@ -289,17 +299,24 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     if buffer.try_push(x1 - x, g1 - g):
         policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
     x, fx, g = x1, f1, g1
+    # From here on the seed point lives only as x and g, which later steps
+    # replace; names kept for the whole run would hold two n-vectors.
+    del x1, g1
     x_norm = float(np.linalg.norm(x))
+    # g^T g and V^T g change only when a step is accepted (u also when a
+    # pair is pushed, which only happens then); u is formed on first use.
+    gg = float(g @ g)
+    u = None
 
     delta = DELTA0
     iterations = 0
     total_steps = 0
     status = STATUS_MAX_ITER
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
     factors_stale = True
 
     while total_steps < config.max_iter:
-        if _stopped(x_norm, g, config):
+        if _stopped(x_norm, gg, config):
             status = STATUS_CONVERGED
             break
         if factors_stale:
@@ -312,13 +329,16 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
             fac = factorize(buffer, gamma)
             inv = build_inverse(buffer, gamma, gamma_perp if config.dense_everywhere else gamma)
             factors_stale = False
+        if u is None:
+            u = buffer.vt_dot(g)
 
         total_steps += 1
         delta_used = delta
-        p, used_unconstrained, q = step_selection(buffer, fac, inv, g, delta, gamma_perp)
+        p, used_unconstrained, q = step_selection(buffer, fac, inv, g, u, gg, delta, gamma_perp)
         step_norm = sc_norm(p, fac, buffer)
 
-        f_trial = float(problem.eval_f(x + p))
+        x_trial = x + p
+        f_trial = float(problem.eval_f(x_trial))
         f_evals += 1
         if not math.isfinite(f_trial):
             status = STATUS_FAILED
@@ -332,18 +352,22 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
 
         accepted = rho >= TAU1
         if accepted:
-            x_new = x + p
-            g_new = np.asarray(problem.eval_g(x_new), dtype=float)
+            g_new = np.asarray(problem.eval_g(x_trial), dtype=float)
             g_evals += 1
-            if not np.all(np.isfinite(g_new)):
+            if not np.isfinite(g_new).all():
                 status = STATUS_FAILED
                 break
             if buffer.try_push(p, g_new - g):
                 policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
                 factors_stale = True
-            x, fx, g = x_new, f_trial, g_new
-            x_norm = float(np.linalg.norm(x))
+            x, fx, g = x_trial, f_trial, g_new
+            x_norm = math.sqrt(float(x @ x))
+            gg = float(g @ g)
+            u = None
             iterations += 1
+        # A rejected trial point must not live on into the next step, where
+        # it would raise the peak memory by one n-vector.
+        del x_trial
 
         delta = radius_update(rho, step_norm, delta)
         if not delta >= eps * max(1.0, x_norm):
@@ -363,7 +387,7 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
                     rank=fac.rank,
                     accepted=accepted,
                     f=fx,
-                    g_norm=float(np.linalg.norm(g)),
+                    g_norm=math.sqrt(gg),
                     step_norm=step_norm,
                 )
             )

@@ -11,6 +11,8 @@ A pair is accepted when ``s^T y > C3 ||s|| ||y||``.  ``C3`` is fixed at
 1e-8 because every caller uses that value.
 """
 
+import math
+
 import numpy as np
 
 from .errors import EmptyHistoryError
@@ -51,6 +53,10 @@ class PairBuffer:
         # Gram of Psi).
         self._strict_lower = np.tri(2 * self.m, k=-1, dtype=bool)
         self._diagonal = np.eye(self.m, dtype=bool)
+        self._identity = np.eye(2 * self.m)
+        self._identity.flags.writeable = False
+        # (L, D, T) of the stored pairs, split on first use after each push.
+        self._views = None
         self.rejected = 0
 
     @property
@@ -89,7 +95,7 @@ class PairBuffer:
         ss = float(s @ s)
         yy = float(y @ y)
         sy = float(s @ y)
-        if not sy > C3 * np.sqrt(ss) * np.sqrt(yy) or ss == 0.0 or yy == 0.0:
+        if not sy > C3 * math.sqrt(ss) * math.sqrt(yy) or ss == 0.0 or yy == 0.0:
             self.rejected += 1
             return False
 
@@ -121,33 +127,50 @@ class PairBuffer:
         self._s_rows[k] = s
         self._y_rows[k] = y
         self.count = k + 1
+        self._views = None
         return True
 
     def vt_dot(self, x: np.ndarray) -> np.ndarray:
         """``V^T x = [S^T x; Y^T x]`` with ``V = [S, Y]``, two gemvs over the rows."""
-        return np.concatenate([self.S.T @ x, self.Y.T @ x])
+        k = self.count
+        return np.concatenate([self._s_rows[:k] @ x, self._y_rows[:k] @ x])
 
     def strict_lower(self, size: int) -> np.ndarray:
         """Boolean mask of the strictly lower triangle of a size-by-size matrix, ``size <= 2m``."""
         return self._strict_lower[:size, :size]
 
+    def identity(self, size: int) -> np.ndarray:
+        """Read-only size-by-size identity, ``size <= 2m``, as a right-hand side for solves."""
+        return self._identity[:size, :size]
+
     def triangular_views(self):
         """Split ``S^T Y`` into (L, D, T): strictly lower, diagonal, upper with diagonal.
 
-        Each part is selected from ``S^T Y`` through a boolean mask cached at
-        construction (the strictly lower triangle and the diagonal), sliced
-        to the current count, so no mask is built per call.  Entries outside
-        a part are +0.0, as with ``np.tril``, ``np.triu`` and ``np.diag``.
+        The split is made once per accepted pair and every later call until
+        the next push returns the same read-only arrays, so the middle
+        matrix and the compact inverse share it.  Entries outside a part
+        are +0.0, as with ``np.tril``, ``np.triu`` and ``np.diag``.
         """
         if self.count == 0:
             raise EmptyHistoryError("triangular views need at least one stored pair")
+        if self._views is None:
+            self._views = self._split()
+        return self._views
+
+    def _split(self):
+        # Each part is selected through a mask cached at construction,
+        # sliced to the current count, so no mask is built per split.
         k = self.count
         SY = self.gram_SY
         lower = self.strict_lower(k)
-        L = np.where(lower, SY, 0.0)
-        D = np.where(self._diagonal[:k, :k], SY, 0.0)
-        T = np.where(lower, 0.0, SY)
-        return L, D, T
+        views = (
+            np.where(lower, SY, 0.0),
+            np.where(self._diagonal[:k, :k], SY, 0.0),
+            np.where(lower, 0.0, SY),
+        )
+        for part in views:
+            part.flags.writeable = False
+        return views
 
     def violations(self) -> int:
         """Count stored pairs that fail the strict acceptance inequality."""

@@ -17,8 +17,18 @@ solve itself; the factors reaching a solve here are finite by construction.
 The floats are unchanged, because ``solve_upper`` passes the same routine the
 same arguments as the wrapper, down to solving the transposed system when the
 factor is C-ordered.
+
+Only the routines numpy lacks (``dpstrf``, ``dtrtrs`` and ``dpotrf``) come
+from ``scipy.linalg.lapack``; everything numpy has, ``eigh`` and ``inv``
+among them, comes from numpy.  The two wheels bundle different OpenBLAS
+builds (0.3.30 in scipy 1.17.1, 0.3.31 in numpy 2.4.6), so the same LAPACK
+routine can round differently between them.  Swapping ``np.linalg.eigh``
+for scipy's ``dsyevd`` matched numpy bitwise on 3000 random matrices, yet
+moved ``ext_powell`` at n = 10^5 from 211 to 431 steps.
+``tests/test_exports.py`` holds the step-path modules to these imports.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +59,11 @@ class SpectralFactorization:
     ``lam_hat`` holds the r eigenvalues of the core matrix sorted ascending;
     the nonconstant eigenvalues of B are ``lam_hat + gamma``.  ``U1`` is the
     leading r-by-r triangle of the pivoted Cholesky factor of the normalized
-    Gram, ``piv`` the pivot order (retained columns first) and ``col_scale``
-    the Psi column norms.  Together with ``W`` these suffice to apply the
-    orthonormal basis of the retained subspace and its transpose.  ``gamma``
-    is the scale the factorization was built for; every product with the
-    basis reads it from here.
+    Gram, ``piv`` the r retained columns of Psi in pivot order and
+    ``col_scale`` their Psi column norms.  Together with ``W`` these suffice
+    to apply the orthonormal basis of the retained subspace and its
+    transpose.  ``gamma`` is the scale the factorization was built for;
+    every product with the basis reads it from here.
     """
 
     rank: int
@@ -96,11 +106,11 @@ def psi_dot(buffer: PairBuffer, gamma: float, w: np.ndarray) -> np.ndarray:
 def psi_gram(buffer: PairBuffer, gamma: float) -> np.ndarray:
     """Assemble ``Psi^T Psi`` from the cached Gram blocks (no n-dim work)."""
     k = buffer.count
-    SY = buffer.gram_SY
+    gSY = gamma * buffer.gram_SY
     A = np.empty((2 * k, 2 * k))
     A[:k, :k] = gamma**2 * buffer.gram_SS
-    A[:k, k:] = gamma * SY
-    A[k:, :k] = gamma * SY.T
+    A[:k, k:] = gSY
+    A[k:, :k] = gSY.T
     A[k:, k:] = buffer.gram_YY
     return A
 
@@ -128,7 +138,7 @@ def build_middle(buffer: PairBuffer, gamma: float) -> np.ndarray:
         raise DegenerateFactorizationError(
             "bracket matrix of the compact representation is singular"
         ) from exc
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise DegenerateFactorizationError(
             "bracket matrix of the compact representation is numerically singular"
         )
@@ -155,12 +165,14 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
     rank, piv, d = 0, np.empty(0, dtype=int), np.empty(0)
     if buffer.count:
         A = psi_gram(buffer, gamma)
-        d = np.sqrt(np.diag(A))
+        d = np.sqrt(A.diagonal())
         # Zero columns cannot occur (acceptance forces s, y nonzero), but guard
         # the division so a degenerate buffer fails loudly later, not here.
         d = np.where(d > 0, d, 1.0)
-        An = A / np.outer(d, d)
-        An = 0.5 * (An + An.T)
+        dd = d[:, None] * d
+        # A and dd are exactly symmetric, so An is too; dpstrf reads its
+        # upper triangle only.
+        An = A / dd
         c, piv, rank, info = dpstrf(An, tol=EPS_R, lower=0)
         if info < 0:
             raise DegenerateFactorizationError(f"pivoted Cholesky failed (info={info})")
@@ -172,25 +184,26 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
             lam_hat=np.empty(0),
             W=np.empty((0, 0)),
             U1=np.empty((0, 0)),
-            piv=piv,
-            col_scale=d,
+            piv=np.empty(0, dtype=int),
+            col_scale=np.empty(0),
             gamma=float(gamma),
         )
     # r-by-2m' trapezoidal factor, pivoted order; dpstrf leaves the input's
     # values below the diagonal.
     U = np.where(buffer.strict_lower(2 * buffer.count), 0.0, c)[:rank, :]
     M = build_middle(buffer, gamma)
-    Mn = M * np.outer(d, d)  # fold the column scaling into the middle matrix
+    Mn = M * dd  # fold the column scaling into the middle matrix
     core = U @ Mn.take(piv, axis=0).take(piv, axis=1) @ U.T
     core = 0.5 * (core + core.T)
     lam_hat, W = np.linalg.eigh(core)
+    kept = piv[:rank]
     return SpectralFactorization(
         rank=rank,
         lam_hat=lam_hat,
         W=W,
         U1=np.ascontiguousarray(U[:, :rank]),
-        piv=piv,
-        col_scale=d,
+        piv=kept,
+        col_scale=d[kept],
         gamma=float(gamma),
     )
 
@@ -206,7 +219,7 @@ def apply_P_par_T(fac: SpectralFactorization, u: np.ndarray) -> np.ndarray:
         return np.empty(0)
     k = u.size // 2
     px = np.concatenate([fac.gamma * u[:k], u[k:]])
-    t = px[fac.piv[: fac.rank]] / fac.col_scale[fac.piv[: fac.rank]]
+    t = px[fac.piv] / fac.col_scale
     q = solve_upper(fac.U1, t, trans=1)
     return fac.W.T @ q
 
@@ -220,18 +233,18 @@ def apply_P_par(fac: SpectralFactorization, buffer: PairBuffer, v: np.ndarray) -
         raise ValueError(f"expected coordinate vector of length {fac.rank}, got {v.shape}")
     z = solve_upper(fac.U1, fac.W @ v)
     w = np.zeros(2 * buffer.count)
-    sel = fac.piv[: fac.rank]
-    w[sel] = z / fac.col_scale[sel]
+    w[fac.piv] = z / fac.col_scale
     return psi_dot(buffer, fac.gamma, w)
 
 
-def perp_norm_sq(x: np.ndarray, g_par: np.ndarray) -> float:
+def perp_norm_sq(xx: float, g_par: np.ndarray) -> float:
     """Squared norm of the component of x orthogonal to the retained subspace.
 
-    Uses the projection identity ``||P_perp^T x||^2 = ||x||^2 - ||P_par^T x||^2``;
-    clamped at zero against round-off.
+    Takes ``xx = x^T x`` and ``g_par = P_par^T x`` and uses the projection
+    identity ``||P_perp^T x||^2 = ||x||^2 - ||P_par^T x||^2``; clamped at
+    zero against round-off.
     """
-    return max(0.0, float(x @ x) - float(g_par @ g_par))
+    return max(0.0, xx - float(g_par @ g_par))
 
 
 def sc_norm(x: np.ndarray, fac: SpectralFactorization, buffer: PairBuffer) -> float:
@@ -239,5 +252,5 @@ def sc_norm(x: np.ndarray, fac: SpectralFactorization, buffer: PairBuffer) -> fl
     if fac.rank == 0:
         return float(np.linalg.norm(x))
     g_par = apply_P_par_T(fac, buffer.vt_dot(x))
-    perp = np.sqrt(perp_norm_sq(x, g_par))
-    return max(float(np.max(np.abs(g_par))), float(perp))
+    perp = math.sqrt(perp_norm_sq(float(x @ x), g_par))
+    return max(float(np.abs(g_par).max()), perp)

@@ -6,6 +6,8 @@ problem on the complementary subspace (two-norm block).  Both admit exact
 minimizers, so no iterative subproblem solver is needed.
 """
 
+import math
+
 import numpy as np
 
 from .pairs import PairBuffer
@@ -26,28 +28,30 @@ def solve_parallel(
 
     Curvatures with ``|lam_i| <= zero_tol`` are treated as zero; ties in the
     zero-gradient cases are broken deterministically (0 for the free case,
-    +radius for the negative-curvature case).
+    +radius for the negative-curvature case).  The loop runs over Python
+    floats, which carry the same IEEE arithmetic as numpy scalars at a
+    fraction of the cost per operation; at r <= 2m it is cheaper than a
+    vectorized form.
     """
     g = np.asarray(g_par, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
     if g.shape != lam.shape:
         raise ValueError(f"shape mismatch: g_par {g.shape} vs lambdas {lam.shape}")
-    v = np.empty_like(g)
-    for i in range(g.size):
-        gi, li = g[i], lam[i]
+    v = []
+    for gi, li in zip(g.tolist(), lam.tolist()):
         if abs(li) <= zero_tol:
             li = 0.0
         if li > 0.0 and abs(gi / li) <= radius:
-            v[i] = -gi / li
+            v.append(-gi / li)
         elif gi == 0.0 and li == 0.0:
-            v[i] = 0.0
+            v.append(0.0)
         elif gi != 0.0 and li == 0.0:
-            v[i] = -np.sign(gi) * radius
+            v.append(-math.copysign(1.0, gi) * radius)
         elif gi == 0.0 and li < 0.0:
-            v[i] = radius
+            v.append(radius)
         else:
-            v[i] = -(radius / abs(gi)) * gi
-    return v
+            v.append(-(radius / abs(gi)) * gi)
+    return np.array(v)
 
 
 def solve_perp_beta(gamma_perp: float, g_perp_norm: float, radius: float) -> float:

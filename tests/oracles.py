@@ -113,3 +113,25 @@ def scipy_inverse_middle(buffer, gamma, gamma_perp):
         Rinv = solve_triangular(R, np.eye(2 * k), lower=False)
         M_hat += alpha * (Rinv @ Rinv.T)
     return 0.5 * (M_hat + M_hat.T)
+
+
+def solve_parallel_numpy_loop(g_par, lambdas, radius, zero_tol=1e-12):
+    """``solve_parallel`` as a loop over numpy scalars with ``np.sign``, the reference its Python-float loop must match bitwise."""
+    g = np.asarray(g_par, dtype=float)
+    lam = np.asarray(lambdas, dtype=float)
+    v = np.empty_like(g)
+    for i in range(g.size):
+        gi, li = g[i], lam[i]
+        if abs(li) <= zero_tol:
+            li = 0.0
+        if li > 0.0 and abs(gi / li) <= radius:
+            v[i] = -gi / li
+        elif gi == 0.0 and li == 0.0:
+            v[i] = 0.0
+        elif gi != 0.0 and li == 0.0:
+            v[i] = -np.sign(gi) * radius
+        elif gi == 0.0 and li < 0.0:
+            v[i] = radius
+        else:
+            v[i] = -(radius / abs(gi)) * gi
+    return v

@@ -22,6 +22,17 @@ def products(s, y):
     return float(s @ y), float(y @ y)
 
 
+def full_step(inv, buf, g):
+    """``unconstrained_step`` with ``w = M_hat V^T g`` formed here."""
+    return t.unconstrained_step(inv, buf, g, inv.M_hat @ buf.vt_dot(g))
+
+
+def full_step_norm(inv, buf, g):
+    """``unconstrained_norm`` with ``g^T g``, ``u = V^T g`` and ``w = M_hat u`` formed here."""
+    u = buf.vt_dot(g)
+    return t.unconstrained_norm(inv, float(g @ g), u, inv.M_hat @ u)
+
+
 def test_update_gamma_formula():
     pol = t.InitPolicy()
     pol.update_gamma(*products([1.0, 0.0], [2.0, 0.0]))
@@ -87,12 +98,12 @@ def test_equal_scales_reduce_to_classical_inverse():
     assert not inv.M_hat[k:, k:].any()
     # secant equation: B^{-1} y_last = s_last
     s_last, y_last = buf.S[:, -1], buf.Y[:, -1]
-    got = -t.unconstrained_step(inv, buf, y_last, buf.vt_dot(y_last))
+    got = -full_step(inv, buf, y_last)
     assert np.abs(got - s_last).max() <= 1e-10 * max(1.0, np.abs(s_last).max())
     # and the full action equals the dense inverse of the recursion matrix
     B = bfgs_recursion(gamma * np.eye(n), zip(buf.S.T, buf.Y.T))
     g = rng.standard_normal(n)
-    assert np.abs(t.unconstrained_step(inv, buf, g, buf.vt_dot(g)) + np.linalg.solve(B, g)).max() <= 1e-9
+    assert np.abs(full_step(inv, buf, g) + np.linalg.solve(B, g)).max() <= 1e-9
 
 
 def test_hand_example_single_pair_two_scales():
@@ -102,9 +113,9 @@ def test_hand_example_single_pair_two_scales():
     assert buf.try_push([1.0, 0.0], [2.0, 0.0])
     inv = t.build_inverse(buf, gamma=1.0, gamma_perp=5.0)
     g = np.array([1.0, 1.0])
-    p = t.unconstrained_step(inv, buf, g, buf.vt_dot(g))
+    p = full_step(inv, buf, g)
     assert np.abs(p - [-0.5, -0.2]).max() <= 1e-12
-    assert t.unconstrained_norm(inv, g, buf.vt_dot(g)) == pytest.approx(np.sqrt(0.25 + 0.04), abs=1e-12)
+    assert full_step_norm(inv, buf, g) == pytest.approx(np.sqrt(0.25 + 0.04), abs=1e-12)
 
 
 @pytest.mark.parametrize("count", [1, 3, 5])
@@ -138,7 +149,7 @@ def test_collinear_duplicate_pairs_reach_the_gram_fallback(monkeypatch):
     inv = t.build_inverse(buf, gamma=1.0, gamma_perp=5.0)
     assert calls == [(4, 4)]
     g = np.array([1.0, 1.0])
-    p = t.unconstrained_step(inv, buf, g, buf.vt_dot(g))
+    p = full_step(inv, buf, g)
     assert np.abs(p - [-0.5, -0.2]).max() <= 1e-12
 
 
@@ -153,7 +164,7 @@ def test_inverse_identity_dense():
     )
     inv = t.build_inverse(buf, gamma, gamma_perp)
     B_hat_inv = np.column_stack(
-        [-t.unconstrained_step(inv, buf, e, buf.vt_dot(e)) for e in np.eye(n)]
+        [-full_step(inv, buf, e) for e in np.eye(n)]
     )
     assert np.abs(B_hat @ B_hat_inv - np.eye(n)).max() <= 1e-9
 
@@ -162,8 +173,8 @@ def test_empty_history_uses_fallback_scale():
     buf = t.PairBuffer(5, 3)
     inv = t.build_inverse(buf, gamma=1.0, gamma_perp=2.5)
     g = np.arange(1.0, 6.0)
-    assert np.allclose(t.unconstrained_step(inv, buf, g, buf.vt_dot(g)), -g / 2.5)
-    assert t.unconstrained_norm(inv, g, buf.vt_dot(g)) == pytest.approx(np.linalg.norm(g) / 2.5)
+    assert np.allclose(full_step(inv, buf, g), -g / 2.5)
+    assert full_step_norm(inv, buf, g) == pytest.approx(np.linalg.norm(g) / 2.5)
 
 
 def test_quadratic_history_matches_dense_solve():
@@ -177,7 +188,7 @@ def test_quadratic_history_matches_dense_solve():
     B_hat = bfgs_recursion(dense_B0_hat(P, gamma, gamma_perp, n), pairs)
     inv = t.build_inverse(buf, gamma, gamma_perp)
     g = rng.standard_normal(n)
-    p = t.unconstrained_step(inv, buf, g, buf.vt_dot(g))
+    p = full_step(inv, buf, g)
     assert np.abs(B_hat @ p + g).max() <= 1e-9 * max(1.0, np.abs(g).max())
 
 
@@ -188,8 +199,8 @@ def test_norm_matches_step_norm():
     inv = t.build_inverse(buf, gamma=1.4, gamma_perp=2.9)
     for _ in range(20):
         g = rng.standard_normal(n)
-        direct = np.linalg.norm(t.unconstrained_step(inv, buf, g, buf.vt_dot(g)))
-        cheap = t.unconstrained_norm(inv, g, buf.vt_dot(g))
+        direct = np.linalg.norm(full_step(inv, buf, g))
+        cheap = full_step_norm(inv, buf, g)
         assert abs(cheap - direct) <= 1e-10 * direct
 
 
@@ -201,7 +212,7 @@ def test_monotone_damping_in_gamma_perp():
     norms = []
     for gamma_perp in (1.0, 2.0, 4.0, 8.0):
         inv = t.build_inverse(buf, gamma, gamma_perp)
-        norms.append(np.linalg.norm(t.unconstrained_step(inv, buf, g, buf.vt_dot(g))))
+        norms.append(np.linalg.norm(full_step(inv, buf, g)))
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from trlbfgs.driver import (
     TAU3,
 )
 
+import fingerprint
 from oracles import fill_buffer
 
 
@@ -100,7 +102,7 @@ def test_step_selection_unconstrained_for_tiny_gradient():
     fac = t.factorize(buf, gamma)
     inv = t.build_inverse(buf, gamma, gamma_perp)
     g = 1e-8 * rng.standard_normal(12)
-    choice = t.step_selection(buf, fac, inv, g, 1.0, gamma_perp)
+    choice = t.step_selection(buf, fac, inv, g, buf.vt_dot(g), float(g @ g), 1.0, gamma_perp)
     assert choice.used_unconstrained
     assert choice.model_value < 0
 
@@ -112,9 +114,10 @@ def test_step_selection_constrained_when_radius_shrinks():
     fac = t.factorize(buf, gamma)
     g = rng.standard_normal(12)
     inv = t.build_inverse(buf, gamma, gamma_perp)
-    pu_norm = t.unconstrained_norm(inv, g, buf.vt_dot(g))
+    u, gg = buf.vt_dot(g), float(g @ g)
+    pu_norm = t.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
     delta = 1e-3 * pu_norm
-    choice = t.step_selection(buf, fac, inv, g, delta, gamma_perp)
+    choice = t.step_selection(buf, fac, inv, g, u, gg, delta, gamma_perp)
     assert not choice.used_unconstrained
     # feasibility plus boundary activity in at least one block
     snorm = t.sc_norm(choice.p_star, fac, buf)
@@ -154,6 +157,126 @@ def test_small_matrices_refresh_once_per_accepted_pair(monkeypatch):
     assert res.iterations < res.total_steps  # some steps were rejected
     assert calls["build_inverse"] == calls["factorize"]
     assert 0 < calls["build_inverse"] < res.total_steps
+
+
+def test_v_transpose_g_is_formed_once_per_gradient_and_buffer_state(monkeypatch):
+    # g and the pairs change only when a step is accepted, so a rejected
+    # step reuses V^T g; the only other product is sc_norm's, once per step.
+    vt_dots = 0
+    real_vt_dot = t.PairBuffer.vt_dot
+
+    def counting_vt_dot(self, x):
+        nonlocal vt_dots
+        vt_dots += 1
+        return real_vt_dot(self, x)
+
+    gradients = []  # held, so that no two states share an id
+    real_select = driver.step_selection
+
+    def recording_select(buffer, fac, inv, g, *args, **kwargs):
+        gradients.append(g)
+        return real_select(buffer, fac, inv, g, *args, **kwargs)
+
+    norms_with_basis = 0
+    real_sc_norm = driver.sc_norm
+
+    def counting_sc_norm(p, fac, buffer):
+        nonlocal norms_with_basis
+        norms_with_basis += fac.rank > 0  # at rank 0 sc_norm needs no V^T p
+        return real_sc_norm(p, fac, buffer)
+
+    monkeypatch.setattr(t.PairBuffer, "vt_dot", counting_vt_dot)
+    monkeypatch.setattr(driver, "step_selection", recording_select)
+    monkeypatch.setattr(driver, "sc_norm", counting_sc_norm)
+    prob = t.get("ext_powell", 40)
+    res = t.minimize(prob, prob.x0)
+    assert res.status == STATUS_CONVERGED
+    assert res.iterations < res.total_steps == len(gradients)
+    states = len({id(g) for g in gradients})
+    assert states < res.total_steps
+    assert vt_dots == states + norms_with_basis
+
+
+def test_accepted_trial_point_is_the_iterate_its_gradient_is_taken_at():
+    # eval_g at an accepted step sees the very array eval_f just saw: x + p
+    # is formed once per step and becomes x.
+    prob = t.get("ext_rosenbrock", 20)
+    last_f_arg = []
+    same = []
+
+    def f(x):
+        last_f_arg[:] = [x]
+        return prob.eval_f(x)
+
+    def g(x):
+        same.append(x is last_f_arg[0])
+        return prob.eval_g(x)
+
+    res = t.minimize(t.Problem("tracked", prob.n, f, g, prob.x0), prob.x0)
+    assert res.status == STATUS_CONVERGED and res.iterations > 0
+    assert len(same) == res.g_evals and all(same)
+
+
+def test_no_trial_point_outlives_its_step(monkeypatch):
+    # When a step is selected, the current iterate is the only earlier
+    # argument of eval_f still alive.  A rejected trial point or the seed
+    # point kept any longer would add an n-vector to the peak memory.
+    prob = t.get("ext_powell", 40)
+    f_args = []
+    most_alive = 0
+    real_select = driver.step_selection
+
+    def f(x):
+        f_args.append(weakref.ref(x))
+        return prob.eval_f(x)
+
+    def counting_select(*args, **kwargs):
+        nonlocal most_alive
+        most_alive = max(most_alive, sum(ref() is not None for ref in f_args))
+        return real_select(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "step_selection", counting_select)
+    res = t.minimize(t.Problem("tracked", prob.n, f, prob.eval_g, prob.x0), prob.x0)
+    assert res.status == STATUS_CONVERGED
+    assert res.iterations < res.total_steps  # some trial points were rejected
+    assert most_alive == 1
+
+
+def test_step_selection_reuses_u_and_gg_bitwise():
+    # The driver passes one u = V^T g and gg = g^T g to every step at the
+    # same iterate, with the radius shrinking after each rejection.  Each
+    # step must equal one computed from freshly formed u and gg, and u must
+    # come back unchanged.
+    rng = np.random.default_rng(53)
+    buf = fill_buffer(rng, 12, 3)
+    gamma, gamma_perp = 1.5, 2.0
+    fac = t.factorize(buf, gamma)
+    inv = t.build_inverse(buf, gamma, gamma_perp)
+    g = rng.standard_normal(12)
+    u, gg = buf.vt_dot(g), float(g @ g)
+    u_bytes = u.tobytes()
+    pu_norm = t.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
+    kinds = set()
+    for delta in 4.0 * pu_norm * 0.25 ** np.arange(8):
+        reused = t.step_selection(buf, fac, inv, g, u, gg, delta, gamma_perp)
+        fresh = t.step_selection(buf, fac, inv, g, buf.vt_dot(g), float(g @ g), delta, gamma_perp)
+        assert reused.p_star.tobytes() == fresh.p_star.tobytes()
+        assert (reused.used_unconstrained, reused.model_value) == (fresh.used_unconstrained, fresh.model_value)
+        kinds.add(reused.used_unconstrained)
+    assert kinds == {True, False}
+    assert u.tobytes() == u_bytes
+
+
+def test_fingerprint_sweep_prints_identical_lines_twice(capsys):
+    # The registry at n = 20 under every spec of the reference sweep; the
+    # full sweep (n up to 10^6) is run by hand to compare two checkouts.
+    args = ["--sizes", "20", "--no-large"]
+    fingerprint.main(args)
+    first = capsys.readouterr().out.splitlines()
+    fingerprint.main(args)
+    assert capsys.readouterr().out.splitlines() == first
+    assert len(first) == len(t.PROBLEM_NAMES) * len(fingerprint.SPECS) == 44
+    assert all(len(line.split()) == 8 for line in first)
 
 
 def _load_references():

@@ -10,6 +10,10 @@ STEP_MODULES = ("denseinit", "pairs", "spectral", "subproblem")
 # scipy's validating wrappers and numpy's general assembly helpers; at
 # n = 10^3 their overhead outweighs the 2m'-dimensional work they wrap.
 WRAPPERS = ("solve_triangular", "cholesky", "block", "tril", "triu")
+# The LAPACK routines numpy lacks.  Everything else comes from numpy: scipy
+# bundles another OpenBLAS build, whose routines can round differently (see
+# the spectral module's docstring).
+SCIPY_LAPACK = ("dpstrf", "dtrtrs", "dpotrf")
 
 
 @pytest.mark.parametrize("name", ["trlbfgs"] + [f"trlbfgs.{m}" for m in SUBMODULES])
@@ -29,4 +33,20 @@ def test_step_path_calls_no_wrapper(name):
             found.append(ast.unparse(node))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [alias.name for alias in node.names if alias.name.split(".")[-1] in WRAPPERS]
+    assert found == []
+
+
+@pytest.mark.parametrize("name", STEP_MODULES)
+def test_step_path_takes_from_scipy_only_the_lapack_numpy_lacks(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"trlbfgs.{name}")))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found += [
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if node.module != "scipy.linalg.lapack" or alias.name not in SCIPY_LAPACK
+            ]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"]
     assert found == []

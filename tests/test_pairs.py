@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import trlbfgs as t
 from trlbfgs import EmptyHistoryError, PairBuffer
 
 from oracles import C3, fill_buffer, random_pairs
@@ -176,6 +177,31 @@ def test_triangular_views_match_the_numpy_helpers_bitwise():
         for got, ref in zip(buf.triangular_views(), want):
             assert got.flags.c_contiguous
             assert got.tobytes() == ref.tobytes()
+
+
+def test_triangular_split_runs_once_per_push(monkeypatch):
+    # build_middle (inside factorize) and build_inverse share one split of
+    # S^T Y per accepted pair; a push makes the next request split afresh.
+    splits = 0
+    real = PairBuffer._split
+
+    def counting(self):
+        nonlocal splits
+        splits += 1
+        return real(self)
+
+    monkeypatch.setattr(PairBuffer, "_split", counting)
+    rng = np.random.default_rng(19)
+    buf = PairBuffer(8, 3)
+    for pushes, (s, y) in enumerate(random_pairs(rng, 8, 5), start=1):
+        assert buf.try_push(s, y)
+        t.factorize(buf, 1.3)
+        t.build_inverse(buf, 1.3, 2.0)
+        assert splits == pushes
+        L, D, T = buf.triangular_views()
+        assert T.tobytes() == np.triu(buf.gram_SY).tobytes()
+        assert not (L.flags.writeable or D.flags.writeable or T.flags.writeable)
+    assert splits == 5
 
 
 def test_triangular_views_empty_buffer_raises():

@@ -196,12 +196,12 @@ def test_perp_norm_sq_zero_on_retained_span():
     fac = t.factorize(buf, gamma)
     x = t.apply_P_par(fac, buf, rng.standard_normal(fac.rank))
     g_par = t.apply_P_par_T(fac, buf.vt_dot(x))
-    assert t.perp_norm_sq(x, g_par) <= 1e-10 * (x @ x)
+    assert t.perp_norm_sq(float(x @ x), g_par) <= 1e-10 * (x @ x)
 
 
 def test_perp_norm_sq_rank_zero_is_full_norm():
     x = np.array([3.0, 4.0])
-    assert t.perp_norm_sq(x, np.empty(0)) == pytest.approx(25.0)
+    assert t.perp_norm_sq(float(x @ x), np.empty(0)) == pytest.approx(25.0)
 
 
 def test_perp_norm_sq_matches_explicit_projector():
@@ -214,7 +214,7 @@ def test_perp_norm_sq_matches_explicit_projector():
     for _ in range(10):
         x = rng.standard_normal(n)
         ref = float(np.linalg.norm(proj @ x) ** 2)
-        got = t.perp_norm_sq(x, t.apply_P_par_T(fac, buf.vt_dot(x)))
+        got = t.perp_norm_sq(float(x @ x), t.apply_P_par_T(fac, buf.vt_dot(x)))
         assert abs(got - ref) <= 1e-10 * max(1.0, ref)
 
 

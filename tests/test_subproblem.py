@@ -3,7 +3,7 @@ import pytest
 
 import trlbfgs as t
 
-from oracles import dense_B0_hat, explicit_P_par, fill_buffer
+from oracles import dense_B0_hat, explicit_P_par, fill_buffer, solve_parallel_numpy_loop
 
 
 def test_parallel_interior_newton_step():
@@ -126,7 +126,7 @@ def test_model_reduction_matches_dense_quadratic():
     g = rng.standard_normal(n)
     delta = 0.4
     g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
-    gp_norm = np.sqrt(t.perp_norm_sq(g, g_par))
+    gp_norm = np.sqrt(t.perp_norm_sq(float(g @ g), g_par))
     lambdas = fac.lam_hat + gamma
     v_par = t.solve_parallel(g_par, lambdas, delta)
     beta = t.solve_perp_beta(gamma_perp, gp_norm, delta)
@@ -182,6 +182,42 @@ def test_coordinate_global_optimality_grid_scan():
             assert ours <= grid_best(g[i], lam[i], radius) + 1e-8
 
 
+def test_solve_parallel_matches_the_numpy_scalar_loop_bitwise():
+    # Each coordinate draws a curvature that is positive, negative, exactly
+    # zero or tiny (at most zero_tol, either sign), and a gradient that is
+    # random, signed zero or small enough to keep the Newton step inside the
+    # radius; both -0.0 and +0.0 reach every branch.
+    rng = np.random.default_rng(48)
+    zero_tol = 1e-12
+    for _ in range(2000):
+        r = int(rng.integers(0, 11))
+        scale = 10.0 ** rng.uniform(-3, 3, size=r)
+        lam = np.choose(
+            rng.integers(0, 5, size=r),
+            [
+                scale * rng.uniform(0.1, 1.0, size=r),
+                -scale * rng.uniform(0.1, 1.0, size=r),
+                np.zeros(r),
+                -np.zeros(r),
+                zero_tol * rng.uniform(-1.0, 1.0, size=r),
+            ],
+        )
+        g = np.choose(
+            rng.integers(0, 4, size=r),
+            [
+                rng.standard_normal(r) * 10.0 ** rng.uniform(-3, 3, size=r),
+                np.zeros(r),
+                -np.zeros(r),
+                1e-3 * rng.standard_normal(r),
+            ],
+        )
+        radius = float(10.0 ** rng.uniform(-3, 1))
+        got = t.solve_parallel(g, lam, radius, zero_tol)
+        want = solve_parallel_numpy_loop(g, lam, radius, zero_tol)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_perpendicular_radial_optimality_grid_scan():
     rng = np.random.default_rng(45)
     for _ in range(50):
@@ -206,7 +242,7 @@ def test_feasibility_in_shape_changing_norm():
         delta = float(rng.uniform(0.05, 2.0))
         gamma_perp = float(rng.uniform(0.5, 6.0))
         g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
-        gp_norm = np.sqrt(t.perp_norm_sq(g, g_par))
+        gp_norm = np.sqrt(t.perp_norm_sq(float(g @ g), g_par))
         v_par = t.solve_parallel(g_par, fac.lam_hat + gamma, delta)
         beta = t.solve_perp_beta(gamma_perp, gp_norm, delta)
         p = t.assemble_step(beta, g, g_par, v_par, fac, buf)
@@ -220,7 +256,7 @@ def test_gamma_perp_sensitivity_at_solution_level():
     fac = t.factorize(buf, gamma)
     g = rng.standard_normal(n)
     g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
-    gp_norm = np.sqrt(t.perp_norm_sq(g, g_par))
+    gp_norm = np.sqrt(t.perp_norm_sq(float(g @ g), g_par))
     lambdas = fac.lam_hat + gamma
     v_ref = t.solve_parallel(g_par, lambdas, delta)
     perp_norms = []

@@ -43,8 +43,9 @@ class InitPolicy:
     """
 
     def __init__(self, c: float = 1.0, lam: float = 0.5):
-        if c < 1.0:
-            raise ValueError(f"c must be >= 1, got {c}")
+        # Written so that NaN fails each check.
+        if not (math.isfinite(c) and c >= 1.0):
+            raise ValueError(f"c must be finite and >= 1, got {c}")
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {lam}")
         self.c = float(c)

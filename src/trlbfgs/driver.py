@@ -7,14 +7,23 @@ taken directly; otherwise the subproblem is solved exactly in decoupled
 closed form.  Acceptance and radius updates follow the classical ratio
 test, with the step measured in the shape-changing norm.
 
-Each quantity is computed once per state it depends on.  What depends only
-on the stored pairs (the scales gamma and gamma_perp, the spectral
-factorization and the compact inverse) is rebuilt once per accepted pair.
-What depends on the gradient as well, ``g^T g`` and ``V^T g``, is formed
-once per accepted step and reused by every rejected step that follows; the
-trial point ``x + p`` is formed once and becomes x on acceptance.  A run
-whose radius falls below the resolution of x, ``eps*max(1, ||x||)``, stops
-with status ``stalled``.
+Each quantity is computed at most once per state it depends on.  What
+depends only on the stored pairs is refreshed when a pair is accepted: the
+scales gamma and gamma_perp and the compact inverse at once, because the
+cheap test of every step reads them, and the spectral factorization on its
+first need, because only the constrained solve and the shape-changing norm
+read it.  What depends on the gradient as well, ``g^T g`` and ``V^T g``, is
+formed once per accepted step and reused by every rejected step that
+follows; the trial point ``x + p`` is formed once and becomes x on
+acceptance.  A run whose radius falls below the resolution of x,
+``eps*max(1, ||x||)``, stops with status ``stalled``.
+
+The radius update reads a step's shape-changing norm only when ``rho <
+TAU2``, or when ``rho >= TAU3`` and the norm reaches ``ETA3*delta``.  With
+``P = [P_par P_perp]`` orthogonal that norm is at most the two-norm, which
+the cheap test already gives for the full quasi-Newton step.  So a full
+step whose two-norm decides the radius on its own is not measured in the
+shape-changing norm; a constrained step always is.
 
 The ratio ``rho`` of actual to predicted decrease is computed with both
 shifted by ``10*eps*|f|`` (Conn, Gould & Toint, *Trust-Region Methods*,
@@ -35,14 +44,14 @@ The trust-region constants are fixed, because every caller uses one value:
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .denseinit import InitPolicy, build_inverse, unconstrained_norm, unconstrained_step
+from .denseinit import InitPolicy, InverseRep, build_inverse, unconstrained_norm, unconstrained_step
 from .errors import LineSearchError
 from .pairs import PairBuffer
-from .spectral import apply_P_par_T, factorize, perp_norm_sq, sc_norm
+from .spectral import SpectralFactorization, apply_P_par_T, factorize, perp_norm_sq, sc_norm
 from .subproblem import assemble_step, model_reduction, solve_parallel, solve_perp_beta
 
 __all__ = [
@@ -78,7 +87,11 @@ class SolverConfig:
     ``dense_everywhere`` controls whether the two-scale initialization is
     also used for the full quasi-Newton step or only inside the constrained
     solve; ``conventional`` pins the perpendicular scale to gamma itself,
-    which reproduces the single-scale method exactly.
+    which reproduces the single-scale method exactly.  ``keep_trace``
+    records one :class:`IterationRecord` per trial step; to fill in its
+    ``step_norm`` and ``rank`` it takes the shape-changing norm of every
+    step, and so the factorization after every accepted pair, which costs
+    time but changes no result.
     """
 
     m: int = 5
@@ -93,10 +106,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.c < 1 or not 0 <= self.lam <= 1:
-            raise ValueError("need c >= 1 and lambda in [0, 1]")
+        # Each check is written so that NaN fails it.
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not (math.isfinite(self.c) and self.c >= 1 and 0 <= self.lam <= 1):
+            raise ValueError(f"need finite c >= 1 and lambda in [0, 1], got c={self.c}, lambda={self.lam}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -136,9 +150,15 @@ class SolverResult:
 
 
 class StepChoice(NamedTuple):
+    """A trial step, whether it is the full quasi-Newton step, its model
+    value, and ``full_norm``, the two-norm of the full step that the cheap
+    test compared with the radius (so ``p_star``'s own when
+    ``used_unconstrained``)."""
+
     p_star: np.ndarray
     used_unconstrained: bool
     model_value: float
+    full_norm: float
 
 
 class InitialStep(NamedTuple):
@@ -202,8 +222,8 @@ def initial_point_step(
 
 def step_selection(
     buffer: PairBuffer,
-    fac,
-    inv,
+    factors: Callable[[], SpectralFactorization],
+    inv: InverseRep,
     g: np.ndarray,
     u: np.ndarray,
     gg: float,
@@ -212,8 +232,10 @@ def step_selection(
 ) -> StepChoice:
     """Pick the trial step: full quasi-Newton step if it fits, else exact solve.
 
-    ``fac`` is the spectral factorization and ``inv`` the compact inverse of
-    the current pairs.  The cheap test and the full step use ``inv``, whose
+    ``inv`` is the compact inverse of the current pairs, and ``factors()``
+    returns their spectral factorization; it is called only on the
+    constrained branch, so a caller can build the factorization there on
+    first need.  The cheap test and the full step use ``inv``, whose
     perpendicular scale the caller chose (gamma itself when the two-scale
     initialization is confined to the constrained branch); the constrained
     branch applies ``gamma_perp``.  ``u = V^T g`` and ``gg = g^T g`` serve
@@ -226,17 +248,16 @@ def step_selection(
     if pu_norm <= delta:
         p = unconstrained_step(inv, buffer, g, w)
         # Exact model value of the unconstrained minimizer: -0.5 g^T B^{-1} g.
-        return StepChoice(p, True, 0.5 * float(g @ p))
+        return StepChoice(p, True, 0.5 * float(g @ p), pu_norm)
 
+    fac = factors()
     g_par = apply_P_par_T(fac, u)
     gp_norm = math.sqrt(perp_norm_sq(gg, g_par))
-    lambdas = fac.lam_hat + fac.gamma
-    zero_tol = 1e-12 * max(1.0, abs(fac.gamma))
-    v_par = solve_parallel(g_par, lambdas, delta, zero_tol)
+    v_par = solve_parallel(g_par, fac.lambdas, delta, fac.zero_tol)
     beta = solve_perp_beta(gamma_perp, gp_norm, delta)
     p = assemble_step(beta, g, g_par, v_par, fac, buffer)
-    q = model_reduction(v_par, beta, g_par, gp_norm, lambdas, gamma_perp)
-    return StepChoice(p, False, q)
+    q = model_reduction(v_par, beta, g_par, gp_norm, fac.lambdas, gamma_perp)
+    return StepChoice(p, False, q, pu_norm)
 
 
 def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
@@ -245,6 +266,9 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     ``problem`` must expose ``eval_f(x) -> float`` and ``eval_g(x) -> array``.
     The first move is a backtracking steepest-descent step that seeds the
     curvature history; every following iteration is a trust-region step.
+    The compact inverse is rebuilt after each accepted pair; the spectral
+    factorization is built at most once per pair state, when a constrained
+    step or a shape-changing norm first needs it.
     Non-finite function or gradient values terminate the run with status
     ``numerical_failure`` at the last good iterate; a radius below
     ``eps*max(1, ||x||)`` terminates it with status ``stalled``.
@@ -314,6 +338,14 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     status = STATUS_MAX_ITER
     eps = float(np.finfo(float).eps)
     factors_stale = True
+    fac = None
+
+    def factors() -> SpectralFactorization:
+        # The spectral factorization of the current pairs, built on first need.
+        nonlocal fac
+        if fac is None:
+            fac = factorize(buffer, gamma)
+        return fac
 
     while total_steps < config.max_iter:
         if _stopped(x_norm, gg, config):
@@ -326,7 +358,7 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
             gamma_perp = gamma if config.conventional else policy.gamma_perp()
             max_gamma = max(max_gamma, gamma)
             max_gamma_perp = max(max_gamma_perp, gamma_perp)
-            fac = factorize(buffer, gamma)
+            fac = None
             inv = build_inverse(buffer, gamma, gamma_perp if config.dense_everywhere else gamma)
             factors_stale = False
         if u is None:
@@ -334,8 +366,9 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
 
         total_steps += 1
         delta_used = delta
-        p, used_unconstrained, q = step_selection(buffer, fac, inv, g, u, gg, delta, gamma_perp)
-        step_norm = sc_norm(p, fac, buffer)
+        p, used_unconstrained, q, full_norm = step_selection(
+            buffer, factors, inv, g, u, gg, delta, gamma_perp
+        )
 
         x_trial = x + p
         f_trial = float(problem.eval_f(x_trial))
@@ -349,6 +382,20 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
         rho = (f_trial - fx - shift) / (q - shift) if q < 0 else -math.inf
         if not math.isfinite(rho):
             rho = -math.inf
+        # The radius update reads the norm only when rho < TAU2, or when
+        # rho >= TAU3 and the norm reaches ETA3*delta.  Below that reach a
+        # full step's two-norm, which bounds its shape-changing norm, leaves
+        # the radius where the shape-changing norm would.  The norm is taken
+        # before an accepted pair changes the factorization.
+        if (
+            config.keep_trace
+            or not used_unconstrained
+            or rho < TAU2
+            or (rho >= TAU3 and full_norm >= ETA3 * delta)
+        ):
+            step_norm = sc_norm(p, factors(), buffer)
+        else:
+            step_norm = full_norm
 
         accepted = rho >= TAU1
         if accepted:

@@ -57,21 +57,28 @@ class SpectralFactorization:
     """Retained-rank eigendecomposition of the low-rank part of B.
 
     ``lam_hat`` holds the r eigenvalues of the core matrix sorted ascending;
-    the nonconstant eigenvalues of B are ``lam_hat + gamma``.  ``U1`` is the
-    leading r-by-r triangle of the pivoted Cholesky factor of the normalized
-    Gram, ``piv`` the r retained columns of Psi in pivot order and
-    ``col_scale`` their Psi column norms.  Together with ``W`` these suffice
-    to apply the orthonormal basis of the retained subspace and its
-    transpose.  ``gamma`` is the scale the factorization was built for;
-    every product with the basis reads it from here.
+    the nonconstant eigenvalues of B are ``lambdas = lam_hat + gamma``, and
+    ``zero_tol`` is the magnitude at or below which the constrained solve
+    treats one of them as zero.  ``U1`` is the leading r-by-r triangle of
+    the pivoted Cholesky factor of the normalized Gram, ``piv`` the r
+    retained columns of Psi in pivot order, ``col_scale`` their Psi column
+    norms and ``psi_scale`` the factor that takes their entry of ``V^T x``
+    to their entry of ``Psi^T x`` (gamma for a column of S, 1.0 for a column
+    of Y, which is exact).  Together with ``W`` these suffice to apply the
+    orthonormal basis of the retained subspace and its transpose.  ``gamma``
+    is the scale the factorization was built for; every product with the
+    basis reads it from here.
     """
 
     rank: int
     lam_hat: np.ndarray
+    lambdas: np.ndarray
+    zero_tol: float
     W: np.ndarray
     U1: np.ndarray
     piv: np.ndarray
     col_scale: np.ndarray
+    psi_scale: np.ndarray
     gamma: float
 
 
@@ -162,6 +169,8 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    gamma = float(gamma)
+    zero_tol = 1e-12 * max(1.0, abs(gamma))
     rank, piv, d = 0, np.empty(0, dtype=int), np.empty(0)
     if buffer.count:
         A = psi_gram(buffer, gamma)
@@ -182,11 +191,14 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
         return SpectralFactorization(
             rank=0,
             lam_hat=np.empty(0),
+            lambdas=np.empty(0),
+            zero_tol=zero_tol,
             W=np.empty((0, 0)),
             U1=np.empty((0, 0)),
             piv=np.empty(0, dtype=int),
             col_scale=np.empty(0),
-            gamma=float(gamma),
+            psi_scale=np.empty(0),
+            gamma=gamma,
         )
     # r-by-2m' trapezoidal factor, pivoted order; dpstrf leaves the input's
     # values below the diagonal.
@@ -200,11 +212,14 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
     return SpectralFactorization(
         rank=rank,
         lam_hat=lam_hat,
+        lambdas=lam_hat + gamma,
+        zero_tol=zero_tol,
         W=W,
         U1=np.ascontiguousarray(U[:, :rank]),
         piv=kept,
         col_scale=d[kept],
-        gamma=float(gamma),
+        psi_scale=np.where(kept < buffer.count, gamma, 1.0),
+        gamma=gamma,
     )
 
 
@@ -212,14 +227,12 @@ def apply_P_par_T(fac: SpectralFactorization, u: np.ndarray) -> np.ndarray:
     """Coordinates ``P_par^T x`` in the retained orthonormal basis (length r).
 
     Takes ``u = V^T x`` (``PairBuffer.vt_dot``), so a caller that already
-    holds it pays no n-dimensional work here: ``Psi^T x`` is ``u`` with its
-    first half scaled by gamma.
+    holds it pays no n-dimensional work here: the retained entries of
+    ``Psi^T x`` are those of ``u`` times ``psi_scale``.
     """
     if fac.rank == 0:
         return np.empty(0)
-    k = u.size // 2
-    px = np.concatenate([fac.gamma * u[:k], u[k:]])
-    t = px[fac.piv] / fac.col_scale
+    t = u[fac.piv] * fac.psi_scale / fac.col_scale
     q = solve_upper(fac.U1, t, trans=1)
     return fac.W.T @ q
 

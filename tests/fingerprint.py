@@ -12,7 +12,9 @@ so two checkouts solve identically exactly when their outputs are equal
 (``diff before.txt after.txt``).  Step counts move with round-off, so a
 comparison is only meaningful with one BLAS thread on both sides.
 ``--sizes`` picks the registry sizes and ``--no-large`` drops the two large
-solves.
+solves.  ``--keep-trace`` solves with a trace, which takes the shape-changing
+norm of every step and so the factorization of every pair state; its output
+must equal the output without it.
 
 pytest does not collect this file; ``test_driver.py`` runs it at n = 20.
 """
@@ -39,10 +41,10 @@ def solves(sizes=SIZES, large=True):
             yield "dense", name, n
 
 
-def fingerprint(spec: str, name: str, n: int) -> str:
+def fingerprint(spec: str, name: str, n: int, keep_trace: bool = False) -> str:
     _, overrides = parse_solver_spec(spec)
     problem = t.get(name, n)
-    res = t.minimize(problem, problem.x0, t.SolverConfig(**overrides))
+    res = t.minimize(problem, problem.x0, t.SolverConfig(**overrides, keep_trace=keep_trace))
     digest = hashlib.sha1(res.x_final.tobytes()).hexdigest()
     return (
         f"{spec} {name} {n} {res.status} {res.total_steps} {res.iterations} "
@@ -54,9 +56,10 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=SIZES, help="registry dimensions")
     parser.add_argument("--no-large", dest="large", action="store_false", help="skip the n = 10^5 and 10^6 solves")
+    parser.add_argument("--keep-trace", action="store_true", help="solve with SolverConfig(keep_trace=True)")
     args = parser.parse_args(argv)
     for solve in solves(args.sizes, args.large):
-        print(fingerprint(*solve), flush=True)
+        print(fingerprint(*solve, keep_trace=args.keep_trace), flush=True)
 
 
 if __name__ == "__main__":

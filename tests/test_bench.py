@@ -121,6 +121,14 @@ def test_parse_solver_spec_rejects(spec):
         parse_solver_spec(spec)
 
 
+@pytest.mark.parametrize("spec", ["dense:c=nan", "dense:c=inf", "dense:lambda=nan"])
+def test_run_rejects_a_non_finite_solver_parameter_before_solving(tmp_path, spec):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        main(["run", "--problems", "arwhead", "--n", "10", "--solvers", spec, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_split_solver_specs_keeps_commas_inside_a_spec():
     assert split_solver_specs("dense:c=1,lambda=0.5,everywhere=true,conventional") == [
         "dense:c=1,lambda=0.5,everywhere=true",

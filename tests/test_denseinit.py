@@ -89,6 +89,12 @@ def test_policy_validation():
         t.InitPolicy(lam=1.5)
 
 
+@pytest.mark.parametrize("kwargs", [{"c": float("nan")}, {"c": float("inf")}, {"lam": float("nan")}])
+def test_policy_rejects_non_finite_values(kwargs):
+    with pytest.raises(ValueError):
+        t.InitPolicy(**kwargs)
+
+
 def test_equal_scales_reduce_to_classical_inverse():
     rng = np.random.default_rng(30)
     n, k, gamma = 12, 4, 1.8

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import weakref
 from pathlib import Path
 
@@ -99,12 +100,16 @@ def test_step_selection_unconstrained_for_tiny_gradient():
     rng = np.random.default_rng(51)
     buf = fill_buffer(rng, 12, 3)
     gamma, gamma_perp = 1.5, 2.0
-    fac = t.factorize(buf, gamma)
     inv = t.build_inverse(buf, gamma, gamma_perp)
     g = 1e-8 * rng.standard_normal(12)
-    choice = t.step_selection(buf, fac, inv, g, buf.vt_dot(g), float(g @ g), 1.0, gamma_perp)
+
+    def no_factors():
+        raise AssertionError("the full step needs no spectral factorization")
+
+    choice = t.step_selection(buf, no_factors, inv, g, buf.vt_dot(g), float(g @ g), 1.0, gamma_perp)
     assert choice.used_unconstrained
     assert choice.model_value < 0
+    assert choice.full_norm == pytest.approx(np.linalg.norm(choice.p_star), rel=1e-12)
 
 
 def test_step_selection_constrained_when_radius_shrinks():
@@ -117,8 +122,9 @@ def test_step_selection_constrained_when_radius_shrinks():
     u, gg = buf.vt_dot(g), float(g @ g)
     pu_norm = t.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
     delta = 1e-3 * pu_norm
-    choice = t.step_selection(buf, fac, inv, g, u, gg, delta, gamma_perp)
+    choice = t.step_selection(buf, lambda: fac, inv, g, u, gg, delta, gamma_perp)
     assert not choice.used_unconstrained
+    assert choice.full_norm == pu_norm
     # feasibility plus boundary activity in at least one block
     snorm = t.sc_norm(choice.p_star, fac, buf)
     assert snorm <= delta + 1e-10
@@ -138,25 +144,41 @@ def test_step_selection_everywhere_toggle_identical_when_scales_equal():
 
 
 def test_small_matrices_refresh_once_per_accepted_pair(monkeypatch):
-    calls = {"factorize": 0, "build_inverse": 0}
+    # Each call is tagged with the number of pairs stored so far, which
+    # names the pair state it works on.  The compact inverse is built once
+    # for every state a step is taken in; the spectral factorization at most
+    # once per state, and only where a constrained step or a norm needs it.
+    pushes = 0
+    states = {"step_selection": [], "factorize": [], "build_inverse": []}
+    real_push = t.PairBuffer.try_push
 
-    def counting(name):
+    def counting_push(self, s, y):
+        nonlocal pushes
+        stored = real_push(self, s, y)
+        pushes += stored
+        return stored
+
+    def recording(name):
         original = getattr(driver, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            states[name].append(pushes)
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(driver, name, counting(name))
+    monkeypatch.setattr(t.PairBuffer, "try_push", counting_push)
+    for name in states:
+        monkeypatch.setattr(driver, name, recording(name))
     prob = t.get("ext_powell", 40)
     res = t.minimize(prob, prob.x0)
     assert res.status == STATUS_CONVERGED
     assert res.iterations < res.total_steps  # some steps were rejected
-    assert calls["build_inverse"] == calls["factorize"]
-    assert 0 < calls["build_inverse"] < res.total_steps
+    assert states["build_inverse"] == sorted(set(states["step_selection"]))
+    assert len(states["build_inverse"]) < res.total_steps
+    assert len(set(states["factorize"])) == len(states["factorize"])
+    assert set(states["factorize"]) <= set(states["build_inverse"])
+    assert 0 < len(states["factorize"]) < len(states["build_inverse"])
 
 
 def test_v_transpose_g_is_formed_once_per_gradient_and_buffer_state(monkeypatch):
@@ -173,9 +195,9 @@ def test_v_transpose_g_is_formed_once_per_gradient_and_buffer_state(monkeypatch)
     gradients = []  # held, so that no two states share an id
     real_select = driver.step_selection
 
-    def recording_select(buffer, fac, inv, g, *args, **kwargs):
+    def recording_select(buffer, factors, inv, g, *args, **kwargs):
         gradients.append(g)
-        return real_select(buffer, fac, inv, g, *args, **kwargs)
+        return real_select(buffer, factors, inv, g, *args, **kwargs)
 
     norms_with_basis = 0
     real_sc_norm = driver.sc_norm
@@ -195,6 +217,40 @@ def test_v_transpose_g_is_formed_once_per_gradient_and_buffer_state(monkeypatch)
     states = len({id(g) for g in gradients})
     assert states < res.total_steps
     assert vt_dots == states + norms_with_basis
+
+
+@pytest.mark.parametrize("n", [20, 200])
+@pytest.mark.parametrize("conventional", [False, True], ids=["dense", "conventional"])
+def test_a_full_step_norm_is_skipped_only_where_it_leaves_the_radius(monkeypatch, conventional, n):
+    # A full step's shape-changing norm is taken only when the radius
+    # update can read it: rho < TAU2, or rho >= TAU3 with the two-norm from
+    # the cheap test at least ETA3*delta.  A trace takes every norm, so
+    # each step the rule skips can be checked with its real norm.
+    full_norms = []
+    real_select = driver.step_selection
+
+    def recording_select(*args, **kwargs):
+        choice = real_select(*args, **kwargs)
+        full_norms.append(choice.full_norm)
+        return choice
+
+    monkeypatch.setattr(driver, "step_selection", recording_select)
+    skipped = 0
+    for name in t.PROBLEM_NAMES:
+        full_norms.clear()
+        prob = t.get(name, n)
+        res = t.minimize(prob, prob.x0, t.SolverConfig(conventional=conventional, keep_trace=True))
+        assert res.status == STATUS_CONVERGED
+        assert len(res.trace) == len(full_norms) == res.total_steps
+        for rec, full_norm in zip(res.trace, full_norms):
+            if rec.step_type != "unconstrained":
+                continue
+            # ||p||_sc <= ||p||_2, up to round-off.
+            assert rec.step_norm <= full_norm * (1.0 + 1e-12)
+            if not (rec.rho < TAU2 or (rec.rho >= TAU3 and full_norm >= ETA3 * rec.delta)):
+                skipped += 1
+                assert t.radius_update(rec.rho, rec.step_norm, rec.delta) == rec.delta
+    assert skipped > 0
 
 
 def test_accepted_trial_point_is_the_iterate_its_gradient_is_taken_at():
@@ -258,10 +314,10 @@ def test_step_selection_reuses_u_and_gg_bitwise():
     pu_norm = t.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
     kinds = set()
     for delta in 4.0 * pu_norm * 0.25 ** np.arange(8):
-        reused = t.step_selection(buf, fac, inv, g, u, gg, delta, gamma_perp)
-        fresh = t.step_selection(buf, fac, inv, g, buf.vt_dot(g), float(g @ g), delta, gamma_perp)
+        reused = t.step_selection(buf, lambda: fac, inv, g, u, gg, delta, gamma_perp)
+        fresh = t.step_selection(buf, lambda: fac, inv, g, buf.vt_dot(g), float(g @ g), delta, gamma_perp)
         assert reused.p_star.tobytes() == fresh.p_star.tobytes()
-        assert (reused.used_unconstrained, reused.model_value) == (fresh.used_unconstrained, fresh.model_value)
+        assert reused[1:] == fresh[1:]
         kinds.add(reused.used_unconstrained)
     assert kinds == {True, False}
     assert u.tobytes() == u_bytes
@@ -270,10 +326,13 @@ def test_step_selection_reuses_u_and_gg_bitwise():
 def test_fingerprint_sweep_prints_identical_lines_twice(capsys):
     # The registry at n = 20 under every spec of the reference sweep; the
     # full sweep (n up to 10^6) is run by hand to compare two checkouts.
+    # The second sweep keeps a trace, which takes the shape-changing norm
+    # of every step and so the factorization of every pair state; the
+    # results must not move.
     args = ["--sizes", "20", "--no-large"]
     fingerprint.main(args)
     first = capsys.readouterr().out.splitlines()
-    fingerprint.main(args)
+    fingerprint.main(args + ["--keep-trace"])
     assert capsys.readouterr().out.splitlines() == first
     assert len(first) == len(t.PROBLEM_NAMES) * len(fingerprint.SPECS) == 44
     assert all(len(line.split()) == 8 for line in first)
@@ -410,6 +469,17 @@ def test_config_validation():
         t.SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         t.SolverConfig(c=0.2)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("epsilon", math.nan), ("epsilon", math.inf), ("c", math.nan), ("c", math.inf), ("lam", math.nan)],
+)
+def test_config_rejects_non_finite_values(field, value):
+    # epsilon=nan never lets the stop test pass, and c=nan makes every
+    # gamma_perp NaN; neither may reach a solve.
+    with pytest.raises(ValueError):
+        t.SolverConfig(**{field: value})
 
 
 def test_eval_counters_consistent():

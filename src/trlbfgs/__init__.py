@@ -8,14 +8,15 @@ policies via performance profiles.
 """
 
 from .denseinit import (
-    InitPolicy,
     InverseRep,
     build_inverse,
+    perp_scale,
     unconstrained_norm,
     unconstrained_step,
 )
 from .driver import (
     IterationRecord,
+    LineSearchError,
     SolverConfig,
     SolverResult,
     initial_point_step,
@@ -23,7 +24,6 @@ from .driver import (
     radius_update,
     step_selection,
 )
-from .errors import DegenerateFactorizationError, EmptyHistoryError, LineSearchError
 from .pairs import PairBuffer
 from .problems import PROBLEM_NAMES, Problem, fd_check, get, registry
 from .spectral import (
@@ -53,8 +53,8 @@ __all__ = [
     "apply_P_par_T",
     "perp_norm_sq",
     "sc_norm",
-    "InitPolicy",
     "InverseRep",
+    "perp_scale",
     "build_inverse",
     "unconstrained_step",
     "unconstrained_norm",
@@ -74,8 +74,6 @@ __all__ = [
     "get",
     "fd_check",
     "PROBLEM_NAMES",
-    "EmptyHistoryError",
-    "DegenerateFactorizationError",
     "LineSearchError",
     "__version__",
 ]

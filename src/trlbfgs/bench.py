@@ -287,16 +287,19 @@ def _environment() -> dict:
 
 
 def _cmd_run(args) -> int:
+    base = dict(m=args.m, epsilon=args.epsilon, max_iter=args.max_iter)
+    try:
+        specs = split_solver_specs(args.solvers)
+        configs = []
+        for spec in specs:
+            solver_id, solver_overrides = parse_solver_spec(spec)
+            configs.append((solver_id, SolverConfig(**base, **solver_overrides)))
+    except ValueError as exc:
+        args.usage_error(f"invalid solver configuration {args.solvers!r}: {exc}")
     names = list(PROBLEM_NAMES) if args.problems == "all" else [
         s.strip() for s in args.problems.split(",") if s.strip()
     ]
     problems = [get(name, args.n) for name in names]
-    base = dict(m=args.m, epsilon=args.epsilon, max_iter=args.max_iter)
-    specs = split_solver_specs(args.solvers)
-    configs = []
-    for spec in specs:
-        solver_id, solver_overrides = parse_solver_spec(spec)
-        configs.append((solver_id, SolverConfig(**base, **solver_overrides)))
 
     records = run_suite(configs, problems, repetitions=args.reps, discard=args.discard)
     meta = {
@@ -347,7 +350,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--epsilon", type=float, default=1e-10)
     run_p.add_argument("--m", type=int, default=5)
     run_p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
-    run_p.set_defaults(func=_cmd_run)
+    run_p.set_defaults(func=_cmd_run, usage_error=run_p.error)
 
     prof_p = sub.add_parser("profile", help="compute performance profiles from records")
     prof_p.add_argument("--metric", choices=sorted(METRIC_FIELDS), default="iter")

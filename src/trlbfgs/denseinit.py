@@ -1,15 +1,17 @@
-"""Two-scale initialization policy and the inverse of the resulting matrix.
+"""Two-scale initialization and the inverse of the resulting matrix.
 
-The initialization assigns the spectral estimate ``gamma = y^T y / s^T y`` to
+The initialization assigns the newest pair's ``gamma = y^T y / s^T y`` to
 the subspace where curvature has been observed and a more conservative scale
-``gamma_perp = lam*c*gamma_max + (1 - lam)*gamma`` to its orthogonal
-complement.  Products with the inverse of the resulting quasi-Newton matrix
-use a compact representation built from ``V = [S, Y]`` and cost O(m n); the
-norm of the full quasi-Newton step is available in O(m^2) without forming the
-step itself.  The representation depends only on the stored pairs and the two
-scales, so the driver builds it once per accepted pair.  The step and its
-norm take ``V^T g``, ``g^T g`` and ``w = M_hat V^T g`` from the caller, which
-forms the first two once per accepted step and ``w`` once per trial step.
+``gamma_perp = lam*c*gamma_max + (1 - lam)*gamma`` (``perp_scale``, with
+``gamma_max`` the largest pair gamma so far) to its orthogonal complement;
+both are ``GAMMA0_PERP`` while no pair is stored.  Products with the inverse
+of the resulting quasi-Newton matrix use a compact representation built from
+``V = [S, Y]`` and cost O(m n); the norm of the full quasi-Newton step is
+available in O(m^2) without forming the step itself.  The representation
+depends only on the stored pairs and the two scales, so the driver builds it
+once per accepted pair.  The step and its norm take ``V^T g``, ``g^T g`` and
+``w = M_hat V^T g`` from the caller, which forms the first two once per
+accepted step and ``w`` once per trial step.
 
 The Cholesky factorization and the triangular solves call LAPACK directly:
 ``dpotrf`` with the arguments ``scipy.linalg.cholesky`` gives it, and
@@ -28,43 +30,15 @@ from scipy.linalg.lapack import dpotrf
 from .pairs import PairBuffer
 from .spectral import psi_gram, solve_upper
 
-__all__ = ["InitPolicy", "InverseRep", "build_inverse", "unconstrained_step", "unconstrained_norm"]
+__all__ = ["InverseRep", "perp_scale", "build_inverse", "unconstrained_step", "unconstrained_norm"]
 
-# Both scales before any pair has been accepted.
+# Both scales while no pair is stored.
 GAMMA0_PERP = 1.0
 
 
-class InitPolicy:
-    """Tracks the two curvature scales.
-
-    ``gamma`` follows the most recent accepted pair; ``gamma_max`` is the
-    running maximum over the whole run (never reset).  Before any pair has
-    been accepted ``gamma_perp()`` falls back to ``GAMMA0_PERP``.
-    """
-
-    def __init__(self, c: float = 1.0, lam: float = 0.5):
-        # Written so that NaN fails each check.
-        if not (math.isfinite(c) and c >= 1.0):
-            raise ValueError(f"c must be finite and >= 1, got {c}")
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-        self.c = float(c)
-        self.lam = float(lam)
-        self.gamma: float | None = None
-        self.gamma_max: float | None = None
-
-    def update_gamma(self, sy: float, yy: float) -> None:
-        """Set ``gamma = y^T y / s^T y`` from an accepted pair's products and track the max."""
-        if sy <= 0.0:
-            raise ValueError("update_gamma needs an accepted pair (s^T y > 0)")
-        self.gamma = float(yy) / float(sy)
-        self.gamma_max = self.gamma if self.gamma_max is None else max(self.gamma_max, self.gamma)
-
-    def gamma_perp(self) -> float:
-        """Scale for the unexplored subspace: ``lam*c*gamma_max + (1-lam)*gamma``."""
-        if self.gamma is None:
-            return GAMMA0_PERP
-        return self.lam * self.c * self.gamma_max + (1.0 - self.lam) * self.gamma
+def perp_scale(c: float, lam: float, gamma: float, gamma_max: float) -> float:
+    """Scale for the unexplored subspace: ``lam*c*gamma_max + (1-lam)*gamma``."""
+    return lam * c * gamma_max + (1.0 - lam) * gamma
 
 
 @dataclass(frozen=True)

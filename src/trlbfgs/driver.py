@@ -12,9 +12,11 @@ depends only on the stored pairs is refreshed when a pair is accepted: the
 scales gamma and gamma_perp and the compact inverse at once, because the
 cheap test of every step reads them, and the spectral factorization on its
 first need, because only the constrained solve and the shape-changing norm
-read it.  What depends on the gradient as well, ``g^T g`` and ``V^T g``, is
-formed once per accepted step and reused by every rejected step that
-follows; the trial point ``x + p`` is formed once and becomes x on
+read it.  gamma comes from the newest pair's Gram entries, and its one
+running maximum is both the formula's ``gamma_max`` and the result's
+``max_gamma``.  What depends on the gradient as well, ``g^T g`` and
+``V^T g``, is formed once per accepted step and reused by every rejected
+step that follows; the trial point ``x + p`` is formed once and becomes x on
 acceptance.  A run whose radius falls below the resolution of x,
 ``eps*max(1, ||x||)``, stops with status ``stalled``.
 
@@ -48,8 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .denseinit import InitPolicy, InverseRep, build_inverse, unconstrained_norm, unconstrained_step
-from .errors import LineSearchError
+from .denseinit import GAMMA0_PERP, InverseRep, build_inverse, perp_scale, unconstrained_norm, unconstrained_step
 from .pairs import PairBuffer
 from .spectral import SpectralFactorization, apply_P_par_T, factorize, perp_norm_sq, sc_norm
 from .subproblem import assemble_step, model_reduction, solve_parallel, solve_perp_beta
@@ -59,6 +60,7 @@ __all__ = [
     "SolverResult",
     "IterationRecord",
     "StepChoice",
+    "LineSearchError",
     "minimize",
     "step_selection",
     "initial_point_step",
@@ -76,6 +78,10 @@ DELTA0 = 1.0
 # Sufficient-decrease constant and halving budget of the initial backtracking search.
 ARMIJO = 1e-4
 MAX_HALVINGS = 50
+
+
+class LineSearchError(RuntimeError):
+    """The initial backtracking search found no decrease within the halving budget."""
 
 
 @dataclass
@@ -132,7 +138,10 @@ class IterationRecord:
 
 @dataclass
 class SolverResult:
-    """Outcome of :func:`minimize`; ``g_norm_final`` is the two-norm of the final gradient."""
+    """Outcome of :func:`minimize`; ``g_norm_final`` is the two-norm of the final gradient.
+
+    ``max_gamma`` is the largest ``gamma`` of a stored pair, 0.0 if no pair is stored.
+    """
 
     x_final: np.ndarray
     f_final: float
@@ -144,7 +153,6 @@ class SolverResult:
     status: str
     max_gamma: float
     max_gamma_perp: float
-    pair_violations: int
     pair_rejections: int
     trace: list[IterationRecord] = field(default_factory=list)
 
@@ -277,7 +285,6 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     buffer = PairBuffer(n, config.m)
-    policy = InitPolicy(c=config.c, lam=config.lam)
 
     trace: list[IterationRecord] = []
     max_gamma = 0.0
@@ -295,7 +302,6 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
             status=status,
             max_gamma=max_gamma,
             max_gamma_perp=max_gamma_perp,
-            pair_violations=buffer.violations(),
             pair_rejections=buffer.rejected,
             trace=trace,
         )
@@ -320,8 +326,7 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     g_evals += 1
     if not np.all(np.isfinite(g1)):
         return result(STATUS_FAILED, fx, g, 0, 0, f_evals, g_evals)
-    if buffer.try_push(x1 - x, g1 - g):
-        policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
+    buffer.try_push(x1 - x, g1 - g)
     x, fx, g = x1, f1, g1
     # From here on the seed point lives only as x and g, which later steps
     # replace; names kept for the whole run would hold two n-vectors.
@@ -352,11 +357,14 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
             status = STATUS_CONVERGED
             break
         if factors_stale:
-            # Everything below depends only on the stored pairs.
-            # Before any pair is stored both scales fall back to one value.
-            gamma = policy.gamma if policy.gamma is not None else policy.gamma_perp()
-            gamma_perp = gamma if config.conventional else policy.gamma_perp()
-            max_gamma = max(max_gamma, gamma)
+            # Everything below depends only on the stored pairs; max_gamma,
+            # the largest pair gamma so far, is the formula's gamma_max.
+            if buffer.count:
+                gamma = float(buffer.gram_YY[-1, -1]) / float(buffer.gram_SY[-1, -1])
+                max_gamma = max(max_gamma, gamma)
+                gamma_perp = gamma if config.conventional else perp_scale(config.c, config.lam, gamma, max_gamma)
+            else:
+                gamma = gamma_perp = GAMMA0_PERP
             max_gamma_perp = max(max_gamma_perp, gamma_perp)
             fac = None
             inv = build_inverse(buffer, gamma, gamma_perp if config.dense_everywhere else gamma)
@@ -404,9 +412,8 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
             if not np.isfinite(g_new).all():
                 status = STATUS_FAILED
                 break
-            if buffer.try_push(p, g_new - g):
-                policy.update_gamma(buffer.gram_SY[-1, -1], buffer.gram_YY[-1, -1])
-                factors_stale = True
+            # The refresh at the top of the loop cleared the flag.
+            factors_stale = buffer.try_push(p, g_new - g)
             x, fx, g = x_trial, f_trial, g_new
             x_norm = math.sqrt(float(x @ x))
             gg = float(g @ g)

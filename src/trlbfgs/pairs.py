@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-from .errors import EmptyHistoryError
-
 __all__ = ["PairBuffer"]
 
 C3 = 1e-8
@@ -152,7 +150,7 @@ class PairBuffer:
         are +0.0, as with ``np.tril``, ``np.triu`` and ``np.diag``.
         """
         if self.count == 0:
-            raise EmptyHistoryError("triangular views need at least one stored pair")
+            raise ValueError("triangular views need at least one stored pair")
         if self._views is None:
             self._views = self._split()
         return self._views
@@ -171,10 +169,3 @@ class PairBuffer:
         for part in views:
             part.flags.writeable = False
         return views
-
-    def violations(self) -> int:
-        """Count stored pairs that fail the strict acceptance inequality."""
-        sy = np.diag(self.gram_SY)
-        ss = np.diag(self.gram_SS)
-        yy = np.diag(self.gram_YY)
-        return int(np.count_nonzero(~(sy > C3 * np.sqrt(ss) * np.sqrt(yy))))

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpstrf, dtrtrs
 
-from .errors import DegenerateFactorizationError
 from .pairs import PairBuffer
 
 __all__ = [
@@ -56,22 +55,21 @@ EPS_R = 1e-14
 class SpectralFactorization:
     """Retained-rank eigendecomposition of the low-rank part of B.
 
-    ``lam_hat`` holds the r eigenvalues of the core matrix sorted ascending;
-    the nonconstant eigenvalues of B are ``lambdas = lam_hat + gamma``, and
-    ``zero_tol`` is the magnitude at or below which the constrained solve
-    treats one of them as zero.  ``U1`` is the leading r-by-r triangle of
-    the pivoted Cholesky factor of the normalized Gram, ``piv`` the r
-    retained columns of Psi in pivot order, ``col_scale`` their Psi column
-    norms and ``psi_scale`` the factor that takes their entry of ``V^T x``
-    to their entry of ``Psi^T x`` (gamma for a column of S, 1.0 for a column
-    of Y, which is exact).  Together with ``W`` these suffice to apply the
-    orthonormal basis of the retained subspace and its transpose.  ``gamma``
-    is the scale the factorization was built for; every product with the
-    basis reads it from here.
+    ``lambdas`` holds the r nonconstant eigenvalues of B sorted ascending,
+    those of the core matrix shifted by ``gamma``, and ``zero_tol`` is the
+    magnitude at or below which the constrained solve treats one of them as
+    zero.  ``U1`` is the leading r-by-r triangle of the pivoted Cholesky
+    factor of the normalized Gram, ``piv`` the r retained columns of Psi in
+    pivot order, ``col_scale`` their Psi column norms and ``psi_scale`` the
+    factor that takes their entry of ``V^T x`` to their entry of ``Psi^T x``
+    (gamma for a column of S, 1.0 for a column of Y, which is exact).
+    Together with ``W`` these suffice to apply the orthonormal basis of the
+    retained subspace and its transpose.  ``gamma`` is the scale the
+    factorization was built for; every product with the basis reads it from
+    here.
     """
 
     rank: int
-    lam_hat: np.ndarray
     lambdas: np.ndarray
     zero_tol: float
     W: np.ndarray
@@ -128,7 +126,8 @@ def build_middle(buffer: PairBuffer, gamma: float) -> np.ndarray:
     Returns ``M = -[[gamma*S^T S, L], [L^T, -D]]^{-1}`` where L is the strictly
     lower and D the diagonal part of ``S^T Y``.  The bracket is invertible
     whenever every stored pair has positive curvature, which the buffer
-    guarantees.
+    guarantees; numpy's ``LinAlgError`` is raised when it is singular or its
+    computed inverse is not finite.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -139,16 +138,9 @@ def build_middle(buffer: PairBuffer, gamma: float) -> np.ndarray:
     bracket[:k, k:] = L
     bracket[k:, :k] = L.T
     bracket[k:, k:] = -D
-    try:
-        M = -np.linalg.inv(bracket)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFactorizationError(
-            "bracket matrix of the compact representation is singular"
-        ) from exc
+    M = -np.linalg.inv(bracket)
     if not np.isfinite(M).all():
-        raise DegenerateFactorizationError(
-            "bracket matrix of the compact representation is numerically singular"
-        )
+        raise np.linalg.LinAlgError("bracket of the compact representation is numerically singular")
     return 0.5 * (M + M.T)
 
 
@@ -184,13 +176,12 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
         An = A / dd
         c, piv, rank, info = dpstrf(An, tol=EPS_R, lower=0)
         if info < 0:
-            raise DegenerateFactorizationError(f"pivoted Cholesky failed (info={info})")
+            raise ValueError(f"illegal value in argument {-info} of dpstrf")
         rank = int(rank)
         piv = np.asarray(piv, dtype=int) - 1  # LAPACK pivots are 1-based
     if rank == 0:
         return SpectralFactorization(
             rank=0,
-            lam_hat=np.empty(0),
             lambdas=np.empty(0),
             zero_tol=zero_tol,
             W=np.empty((0, 0)),
@@ -211,7 +202,6 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
     kept = piv[:rank]
     return SpectralFactorization(
         rank=rank,
-        lam_hat=lam_hat,
         lambdas=lam_hat + gamma,
         zero_tol=zero_tol,
         W=W,

@@ -7,10 +7,12 @@ Usage, from the root of the repository:
 The sweep is the registry at n = 20, 200 and 1000 under four solver specs
 (``SPECS``), plus ``ext_powell`` at n = 10^5 and ``ext_rosenbrock`` at
 n = 10^6: 134 solves.  Each line gives the solve, its status, total steps,
-accepted iterations, ``f_final.hex()`` and the sha1 of ``x_final``'s bytes,
-so two checkouts solve identically exactly when their outputs are equal
-(``diff before.txt after.txt``).  Step counts move with round-off, so a
-comparison is only meaningful with one BLAS thread on both sides.
+accepted iterations, ``f_final.hex()``, the sha1 of ``x_final``'s bytes, the
+function and gradient evaluation counts, the rejected pairs, and
+``max_gamma.hex()`` and ``max_gamma_perp.hex()``, so two checkouts solve
+identically exactly when their outputs are equal (``diff before.txt
+after.txt``).  Step counts move with round-off, so a comparison is only
+meaningful with one BLAS thread on both sides.
 ``--sizes`` picks the registry sizes and ``--no-large`` drops the two large
 solves.  ``--keep-trace`` solves with a trace, which takes the shape-changing
 norm of every step and so the factorization of every pair state; its output
@@ -48,7 +50,8 @@ def fingerprint(spec: str, name: str, n: int, keep_trace: bool = False) -> str:
     digest = hashlib.sha1(res.x_final.tobytes()).hexdigest()
     return (
         f"{spec} {name} {n} {res.status} {res.total_steps} {res.iterations} "
-        f"{float(res.f_final).hex()} {digest}"
+        f"{float(res.f_final).hex()} {digest} {res.f_evals} {res.g_evals} {res.pair_rejections} "
+        f"{float(res.max_gamma).hex()} {float(res.max_gamma_perp).hex()}"
     )
 
 

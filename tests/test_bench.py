@@ -121,11 +121,13 @@ def test_parse_solver_spec_rejects(spec):
         parse_solver_spec(spec)
 
 
-@pytest.mark.parametrize("spec", ["dense:c=nan", "dense:c=inf", "dense:lambda=nan"])
-def test_run_rejects_a_non_finite_solver_parameter_before_solving(tmp_path, spec):
+@pytest.mark.parametrize("spec", ["dense:c=nan", "dense:c=inf", "dense:lambda=nan", "dense:gamma=2"])
+def test_run_rejects_a_non_finite_solver_parameter_before_solving(tmp_path, capsys, spec):
     out = tmp_path / "out"
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--problems", "arwhead", "--n", "10", "--solvers", spec, "--out", str(out)])
+    assert exc.value.code == 2
+    assert spec in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,7 +3,6 @@ import pytest
 
 import trlbfgs as t
 import trlbfgs.denseinit as denseinit
-from trlbfgs.denseinit import GAMMA0_PERP
 
 from oracles import (
     bfgs_recursion,
@@ -13,13 +12,6 @@ from oracles import (
     quadratic_pairs,
     scipy_inverse_middle,
 )
-
-
-def products(s, y):
-    """``(s^T y, y^T y)`` of a pair, the arguments of ``update_gamma``."""
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(s @ y), float(y @ y)
 
 
 def full_step(inv, buf, g):
@@ -33,66 +25,12 @@ def full_step_norm(inv, buf, g):
     return t.unconstrained_norm(inv, float(g @ g), u, inv.M_hat @ u)
 
 
-def test_update_gamma_formula():
-    pol = t.InitPolicy()
-    pol.update_gamma(*products([1.0, 0.0], [2.0, 0.0]))
-    assert pol.gamma == pytest.approx(2.0)
-
-
-def test_update_gamma_identity_pair():
-    pol = t.InitPolicy()
-    pol.update_gamma(*products([1.0, 2.0], [1.0, 2.0]))
-    assert pol.gamma == pytest.approx(1.0)
-
-
-def test_gamma_max_is_running_maximum():
-    pol = t.InitPolicy()
-    pol.update_gamma(*products([1.0, 0.0], [2.0, 0.0]))  # gamma = 2
-    pol.update_gamma(*products([2.0, 0.0], [3.0, 0.0]))  # gamma = 1.5
-    assert pol.gamma == pytest.approx(1.5)
-    assert pol.gamma_max == pytest.approx(2.0)
-
-
-def test_update_gamma_rejects_nonpositive_curvature():
-    pol = t.InitPolicy()
-    with pytest.raises(ValueError):
-        pol.update_gamma(0.0, 2.0)
-
-
 def test_gamma_perp_parameter_table():
-    pol = t.InitPolicy(c=1.0, lam=1.0)
-    pol.update_gamma(*products([1.0, 0.0], [2.0, 0.0]))  # gamma = 2
-    pol.update_gamma(*products([2.0, 0.0], [3.0, 0.0]))  # gamma = 1.5, max 2
-    assert pol.gamma_perp() == pytest.approx(2.0)  # c=1, lam=1 -> gamma_max
-
-    pol2 = t.InitPolicy(c=2.0, lam=1.0)
-    pol2.gamma, pol2.gamma_max = 1.5, 2.0
-    assert pol2.gamma_perp() == pytest.approx(4.0)  # 2 * gamma_max
-
-    pol3 = t.InitPolicy(c=1.0, lam=0.0)
-    pol3.gamma, pol3.gamma_max = 1.5, 2.0
-    assert pol3.gamma_perp() == pytest.approx(1.5)  # conventional: gamma itself
-
-    pol4 = t.InitPolicy(c=1.0, lam=0.5)
-    pol4.gamma, pol4.gamma_max = 1.5, 2.0
-    assert pol4.gamma_perp() == pytest.approx(0.5 * 2.0 + 0.5 * 1.5)
-
-
-def test_gamma_perp_before_any_pair_uses_fallback():
-    assert t.InitPolicy().gamma_perp() == GAMMA0_PERP
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        t.InitPolicy(c=0.5)
-    with pytest.raises(ValueError):
-        t.InitPolicy(lam=1.5)
-
-
-@pytest.mark.parametrize("kwargs", [{"c": float("nan")}, {"c": float("inf")}, {"lam": float("nan")}])
-def test_policy_rejects_non_finite_values(kwargs):
-    with pytest.raises(ValueError):
-        t.InitPolicy(**kwargs)
+    gamma, gamma_max = 1.5, 2.0
+    assert t.perp_scale(1.0, 1.0, gamma, gamma_max) == pytest.approx(2.0)  # gamma_max itself
+    assert t.perp_scale(2.0, 1.0, gamma, gamma_max) == pytest.approx(4.0)  # c * gamma_max
+    assert t.perp_scale(1.0, 0.0, gamma, gamma_max) == pytest.approx(1.5)  # conventional: gamma itself
+    assert t.perp_scale(1.0, 0.5, gamma, gamma_max) == pytest.approx(0.5 * 2.0 + 0.5 * 1.5)
 
 
 def test_equal_scales_reduce_to_classical_inverse():

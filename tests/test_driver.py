@@ -8,6 +8,7 @@ import pytest
 
 import trlbfgs as t
 import trlbfgs.driver as driver
+from trlbfgs.denseinit import GAMMA0_PERP
 from trlbfgs.driver import (
     ETA1,
     ETA2,
@@ -335,7 +336,7 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys):
     fingerprint.main(args + ["--keep-trace"])
     assert capsys.readouterr().out.splitlines() == first
     assert len(first) == len(t.PROBLEM_NAMES) * len(fingerprint.SPECS) == 44
-    assert all(len(line.split()) == 8 for line in first)
+    assert all(len(line.split()) == 13 for line in first)
 
 
 def _load_references():
@@ -461,7 +462,60 @@ def test_hypothesis_observables_reported():
     assert res.status == STATUS_CONVERGED
     assert 0 < res.max_gamma < np.inf
     assert 0 < res.max_gamma_perp < np.inf
-    assert res.pair_violations == 0
+
+
+@pytest.mark.parametrize("conventional", [False, True], ids=["dense", "conventional"])
+def test_steps_before_the_first_stored_pair_use_the_fallback_scale(conventional):
+    # The seed pair of sum(cos(x)) from x = 0.1 has negative curvature and is
+    # rejected, so the first steps (3 of 8) are taken with no pair stored.
+    n = 10
+    prob = t.Problem(
+        "cosines", n,
+        lambda x: float(np.cos(x).sum()),
+        lambda x: -np.sin(x),
+        np.full(n, 0.1),
+    )
+    res = t.minimize(prob, prob.x0, t.SolverConfig(conventional=conventional, keep_trace=True))
+    assert res.status == STATUS_CONVERGED
+    assert np.abs(res.x_final - np.pi).max() <= 1e-12
+    assert res.pair_rejections >= 1
+    empty = [rec for rec in res.trace if rec.rank == 0]
+    assert empty
+    assert all(rec.gamma == rec.gamma_perp == GAMMA0_PERP for rec in empty)
+    # max_gamma ranges over the stored pairs only, not over the fallback.
+    assert res.max_gamma == max(rec.gamma for rec in res.trace if rec.rank > 0) < GAMMA0_PERP
+
+
+def test_gamma_is_the_curvature_ratio_of_the_newest_pair(monkeypatch):
+    checked = []
+    real = driver.build_inverse
+
+    def checking(buffer, gamma, gamma_perp):
+        s, y = buffer.S[:, -1], buffer.Y[:, -1]
+        checked.append(gamma == pytest.approx(float(y @ y) / float(s @ y), rel=1e-14))
+        return real(buffer, gamma, gamma_perp)
+
+    monkeypatch.setattr(driver, "build_inverse", checking)
+    prob = t.get("ext_rosenbrock", 40)
+    res = t.minimize(prob, prob.x0)
+    assert res.status == STATUS_CONVERGED
+    assert len(checked) > 1 and all(checked)
+
+
+def test_gamma_perp_follows_the_running_max_of_gamma():
+    # With c = 2 and lambda = 1, gamma_perp is 2*gamma_max, so every step
+    # shows which maximum the run kept.
+    prob = t.get("ext_rosenbrock", 40)
+    res = t.minimize(prob, prob.x0, t.SolverConfig(c=2.0, lam=1.0, keep_trace=True))
+    assert res.status == STATUS_CONVERGED
+    gamma_max = 0.0
+    below_max = 0
+    for rec in res.trace:
+        gamma_max = max(gamma_max, rec.gamma)
+        below_max += rec.gamma < gamma_max
+        assert rec.gamma_perp == t.perp_scale(2.0, 1.0, rec.gamma, gamma_max)
+    assert below_max > 0
+    assert res.max_gamma == gamma_max
 
 
 def test_config_validation():
@@ -469,6 +523,10 @@ def test_config_validation():
         t.SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         t.SolverConfig(c=0.2)
+    with pytest.raises(ValueError):
+        t.SolverConfig(lam=-0.1)
+    with pytest.raises(ValueError):
+        t.SolverConfig(lam=1.5)
 
 
 @pytest.mark.parametrize(

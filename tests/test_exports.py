@@ -1,8 +1,11 @@
 import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
+
+import trlbfgs
 
 SUBMODULES = ("bench", "denseinit", "driver", "pairs", "problems", "spectral", "subproblem")
 # Modules that run once per step or once per accepted pair.
@@ -21,6 +24,26 @@ def test_every_public_name_exists(name):
     # A name left in __all__ after its definition was deleted fails here, not at a caller.
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def _called_names():
+    """Names called anywhere in the package: ``f(...)`` and ``mod.f(...)`` both count as ``f``."""
+    called = set()
+    for path in Path(trlbfgs.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return called
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_class_is_constructed_or_raised(name):
+    # An exported type that nothing in the package builds is dead weight;
+    # a raise calls its exception class, so it counts.
+    module = importlib.import_module(f"trlbfgs.{name}")
+    classes = [attr for attr in module.__all__ if inspect.isclass(getattr(module, attr))]
+    assert [cls for cls in classes if cls not in _called_names()] == []
 
 
 @pytest.mark.parametrize("name", STEP_MODULES)

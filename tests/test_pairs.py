@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import trlbfgs as t
-from trlbfgs import EmptyHistoryError, PairBuffer
+from trlbfgs import PairBuffer
 
 from oracles import C3, fill_buffer, random_pairs
 
@@ -129,7 +129,6 @@ def test_grams_track_survivors_after_eviction():
 def test_stored_pairs_satisfy_acceptance_strictly():
     rng = np.random.default_rng(13)
     buf = fill_buffer(rng, 25, 5)
-    assert buf.violations() == 0
     for sy, ss, yy in zip(np.diag(buf.gram_SY), np.diag(buf.gram_SS), np.diag(buf.gram_YY)):
         assert sy > C3 * np.sqrt(ss) * np.sqrt(yy)
         assert ss > 0 and yy > 0
@@ -205,5 +204,5 @@ def test_triangular_split_runs_once_per_push(monkeypatch):
 
 
 def test_triangular_views_empty_buffer_raises():
-    with pytest.raises(EmptyHistoryError):
+    with pytest.raises(ValueError):
         PairBuffer(3, 2).triangular_views()

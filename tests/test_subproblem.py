@@ -127,7 +127,7 @@ def test_model_reduction_matches_dense_quadratic():
     delta = 0.4
     g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
     gp_norm = np.sqrt(t.perp_norm_sq(float(g @ g), g_par))
-    lambdas = fac.lam_hat + gamma
+    lambdas = fac.lambdas
     v_par = t.solve_parallel(g_par, lambdas, delta)
     beta = t.solve_perp_beta(gamma_perp, gp_norm, delta)
     p = t.assemble_step(beta, g, g_par, v_par, fac, buf)
@@ -155,7 +155,7 @@ def test_separability_no_cross_terms():
     perp = w - P @ (P.T @ w)
     p = P @ v_par + perp
     g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
-    lambdas = fac.lam_hat + gamma
+    lambdas = fac.lambdas
     q_full = float(g @ p + 0.5 * p @ (B_hat @ p))
     q_par = float(g_par @ v_par + 0.5 * v_par @ (lambdas * v_par))
     gp = g - P @ g_par
@@ -243,7 +243,7 @@ def test_feasibility_in_shape_changing_norm():
         gamma_perp = float(rng.uniform(0.5, 6.0))
         g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
         gp_norm = np.sqrt(t.perp_norm_sq(float(g @ g), g_par))
-        v_par = t.solve_parallel(g_par, fac.lam_hat + gamma, delta)
+        v_par = t.solve_parallel(g_par, fac.lambdas, delta)
         beta = t.solve_perp_beta(gamma_perp, gp_norm, delta)
         p = t.assemble_step(beta, g, g_par, v_par, fac, buf)
         assert t.sc_norm(p, fac, buf) <= delta + 1e-10
@@ -257,7 +257,7 @@ def test_gamma_perp_sensitivity_at_solution_level():
     g = rng.standard_normal(n)
     g_par = t.apply_P_par_T(fac, buf.vt_dot(g))
     gp_norm = np.sqrt(t.perp_norm_sq(float(g @ g), g_par))
-    lambdas = fac.lam_hat + gamma
+    lambdas = fac.lambdas
     v_ref = t.solve_parallel(g_par, lambdas, delta)
     perp_norms = []
     for gamma_perp in (1.0, 2.0, 5.0, 20.0):

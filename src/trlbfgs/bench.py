@@ -9,8 +9,12 @@ is, and writes ``profile_<metric>.tsv``: for each problem the metric is
 divided by the best value any solver achieved, and a solver's column reports
 the fraction of problems it solved within factor tau of the best.
 
-Solver specifications use the grammar
-``dense:c=1,lambda=0.5,everywhere=true`` or ``conventional``.
+``--solvers`` and ``--problems`` take lists, as in ``bench run --solvers
+dense:c=2,lambda=1 conventional --problems ext_powell tridia``.  A solver
+spec is ``conventional`` or ``dense[:c=...,lambda=...,everywhere=...]``, and
+``--problems`` defaults to the whole registry.  Bad arguments, and a
+``records.json`` that ``bench profile`` cannot read or profile, are usage
+errors (exit status 2) reported before anything is solved or written.
 
 Step counts, not only times, depend on the BLAS thread count, because the
 threads change the rounding of the dense products: ``ext_rosenbrock`` at
@@ -29,6 +33,7 @@ import platform
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -43,7 +48,6 @@ __all__ = [
     "write_records",
     "write_profile",
     "load_records",
-    "split_solver_specs",
     "parse_solver_spec",
     "main",
 ]
@@ -66,28 +70,6 @@ class RunRecord:
     status: str
     f_final: float
     g_norm_final: float
-
-
-def split_solver_specs(text: str) -> list[str]:
-    """Split a comma-joined solver list, keeping commas inside each spec.
-
-    A new spec starts at a token whose head is a known solver name, so
-    ``dense:c=1,lambda=0.5,conventional`` splits into two specs.
-    """
-    specs: list[str] = []
-    for token in (t.strip() for t in text.split(",")):
-        if not token:
-            continue
-        head = token.split(":", 1)[0].split("=", 1)[0]
-        if head in ("dense", "conventional"):
-            specs.append(token)
-        elif specs:
-            specs[-1] += "," + token
-        else:
-            raise ValueError(f"solver list must start with a solver name, got {token!r}")
-    if not specs:
-        raise ValueError("no solver specifications given")
-    return specs
 
 
 def parse_solver_spec(spec: str) -> tuple[str, dict]:
@@ -117,6 +99,19 @@ def parse_solver_spec(spec: str) -> tuple[str, dict]:
     raise ValueError(f"unknown solver spec {spec!r}")
 
 
+def _check_repetitions(repetitions: int, discard: int) -> None:
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
+    if discard < 0:
+        raise ValueError(f"discard must be at least 0, got {discard}")
+
+
+# What a cell whose solve raised reports in place of a SolverResult.
+_FAILED_RUN = SimpleNamespace(
+    iterations=0, total_steps=0, status="numerical_failure", f_final=np.nan, g_norm_final=np.nan
+)
+
+
 def run_suite(
     configs: list[tuple[str, SolverConfig]],
     problems: list[Problem],
@@ -128,52 +123,35 @@ def run_suite(
     Iteration counts come from the deterministic solver and are asserted
     identical across repetitions; the reported time is the mean after
     dropping the first ``discard`` warm-up runs (never dropping all of
-    them).  A failing run yields a record with its status; it does not
-    abort the suite.
+    them).  A run that raises ends its cell with a ``numerical_failure``
+    record, timed over the runs made; it does not abort the suite.
     """
     if not configs or not problems:
         raise ValueError("need at least one solver config and one problem")
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
+    _check_repetitions(repetitions, discard)
     records = []
     for solver_id, config in configs:
         for prob in problems:
-            times = []
-            results = []
-            failed = None
+            times, results = [], []
             for _ in range(repetitions):
                 t0 = time.perf_counter()
                 try:
-                    res = minimize(prob, prob.x0, config)
-                except Exception as exc:  # capture, never abort the suite
-                    failed = exc
-                    times.append(time.perf_counter() - t0)
+                    results.append(minimize(prob, prob.x0, config))
+                except Exception:  # capture, never abort the suite
+                    results.clear()
                     break
-                times.append(time.perf_counter() - t0)
-                results.append(res)
-            if failed is not None or not results:
-                records.append(
-                    RunRecord(
-                        problem=prob.name,
-                        n=prob.n,
-                        solver_id=solver_id,
-                        iterations=0,
-                        total_steps=0,
-                        time_seconds=float(np.mean(times)),
-                        status="numerical_failure",
-                        f_final=float("nan"),
-                        g_norm_final=float("nan"),
+                finally:
+                    times.append(time.perf_counter() - t0)
+            res = _FAILED_RUN
+            if results:
+                iters = {r.iterations for r in results}
+                if len(iters) != 1:
+                    raise RuntimeError(
+                        f"nondeterministic iteration counts {sorted(iters)} on "
+                        f"{prob.name} with {solver_id}"
                     )
-                )
-                continue
-            iters = {r.iterations for r in results}
-            if len(iters) != 1:
-                raise RuntimeError(
-                    f"nondeterministic iteration counts {sorted(iters)} on "
-                    f"{prob.name} with {solver_id}"
-                )
-            keep = times[min(discard, repetitions - 1):]
-            res = results[-1]
+                res = results[-1]
+                times = times[min(discard, repetitions - 1):]
             records.append(
                 RunRecord(
                     problem=prob.name,
@@ -181,7 +159,7 @@ def run_suite(
                     solver_id=solver_id,
                     iterations=res.iterations,
                     total_steps=res.total_steps,
-                    time_seconds=float(np.mean(keep)),
+                    time_seconds=float(np.mean(times)),
                     status=res.status,
                     f_final=res.f_final,
                     g_norm_final=res.g_norm_final,
@@ -200,14 +178,8 @@ def profile_ratios(records: list[RunRecord], metric: str):
         field = METRIC_FIELDS[metric]
     except KeyError:
         raise ValueError(f"metric must be one of {sorted(METRIC_FIELDS)}, got {metric!r}") from None
-    problem_keys: list[tuple[str, int]] = []
-    solver_ids: list[str] = []
-    for r in records:
-        key = (r.problem, r.n)
-        if key not in problem_keys:
-            problem_keys.append(key)
-        if r.solver_id not in solver_ids:
-            solver_ids.append(r.solver_id)
+    problem_keys = list(dict.fromkeys((r.problem, r.n) for r in records))
+    solver_ids = list(dict.fromkeys(r.solver_id for r in records))
     values = np.full((len(problem_keys), len(solver_ids)), np.inf)
     seen = set()
     for r in records:
@@ -237,16 +209,13 @@ def write_records(records: list[RunRecord], out_dir, meta: dict) -> list[Path]:
     out_dir = Path(out_dir)
     csv_path = out_dir / "records.csv"
     json_path = out_dir / "records.json"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with csv_path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(f.name for f in fields(RunRecord))
-            writer.writerows(astuple(r) for r in records)
-        payload = {"meta": meta, "records": [asdict(r) for r in records]}
-        json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write benchmark output under {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(f.name for f in fields(RunRecord))
+        writer.writerows(astuple(r) for r in records)
+    payload = {"meta": meta, "records": [asdict(r) for r in records]}
+    json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return [csv_path, json_path]
 
 
@@ -261,18 +230,21 @@ def write_profile(records: list[RunRecord], metric: str, out_dir) -> Path:
         lines.append("\t".join(repr(float(v)) for v in (tau, *rho)))
     out_dir = Path(out_dir)
     path = out_dir / f"profile_{metric}.tsv"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write benchmark output under {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def load_records(path) -> list[RunRecord]:
-    """Read back the records of a records.json written by ``write_records``; its meta is not read."""
+    """Read back the records of a records.json written by ``write_records``; its meta is not read.
+
+    A file that does not hold such records raises ValueError.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [RunRecord(**r) for r in payload["records"]]
+    try:
+        return [RunRecord(**r) for r in payload["records"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a list of bench records: {exc!r}") from None
 
 
 def _environment() -> dict:
@@ -286,28 +258,35 @@ def _environment() -> dict:
     }
 
 
+def _solver_config(spec: str, base: dict) -> tuple[str, SolverConfig]:
+    """``(solver_id, config)`` for one solver spec; a ValueError names the spec."""
+    try:
+        solver_id, overrides = parse_solver_spec(spec)
+        return solver_id, SolverConfig(**base, **overrides)
+    except ValueError as exc:
+        raise ValueError(f"invalid solver spec {spec!r}: {exc}") from None
+
+
 def _cmd_run(args) -> int:
     base = dict(m=args.m, epsilon=args.epsilon, max_iter=args.max_iter)
     try:
-        specs = split_solver_specs(args.solvers)
-        configs = []
-        for spec in specs:
-            solver_id, solver_overrides = parse_solver_spec(spec)
-            configs.append((solver_id, SolverConfig(**base, **solver_overrides)))
+        configs = [_solver_config(spec, base) for spec in args.solvers]
+        problems = [get(name, args.n) for name in args.problems]
+        _check_repetitions(args.reps, args.discard)
+        # profile_ratios rejects a second record of the same cell.
+        for given in ([solver_id for solver_id, _ in configs], args.problems):
+            if len(set(given)) < len(given):
+                raise ValueError(f"each solver and problem can be given once, got {given}")
     except ValueError as exc:
-        args.usage_error(f"invalid solver configuration {args.solvers!r}: {exc}")
-    names = list(PROBLEM_NAMES) if args.problems == "all" else [
-        s.strip() for s in args.problems.split(",") if s.strip()
-    ]
-    problems = [get(name, args.n) for name in names]
+        args.usage_error(str(exc))
 
     records = run_suite(configs, problems, repetitions=args.reps, discard=args.discard)
     meta = {
         "n": args.n,
         "repetitions": args.reps,
         "discard": args.discard,
-        "problems": names,
-        "solver_specs": specs,
+        "problems": args.problems,
+        "solver_specs": args.solvers,
         "solver_config_base": base,
         "environment": _environment(),
     }
@@ -324,8 +303,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_profile(args) -> int:
     in_dir = Path(args.in_dir)
-    records = load_records(in_dir / "records.json")
-    print(f"wrote {write_profile(records, args.metric, args.out or in_dir)}")
+    path = in_dir / "records.json"
+    try:
+        out = write_profile(load_records(path), args.metric, args.out or in_dir)
+    except (OSError, ValueError) as exc:
+        args.usage_error(f"cannot profile {path}: {exc}")
+    print(f"wrote {out}")
     return 0
 
 
@@ -337,12 +320,21 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a solver/problem sweep")
-    run_p.add_argument("--problems", default="all", help="'all' or comma-separated names")
+    run_p.add_argument(
+        "--problems",
+        nargs="+",
+        choices=PROBLEM_NAMES,
+        default=list(PROBLEM_NAMES),
+        metavar="NAME",
+        help="registry problems (default: all of them)",
+    )
     run_p.add_argument("--n", type=int, default=1000, help="problem dimension")
     run_p.add_argument(
         "--solvers",
-        default="dense:c=1,lambda=0.5,everywhere=true,conventional",
-        help="solver specs, e.g. 'dense:c=1,lambda=0.5,everywhere=true,conventional'",
+        nargs="+",
+        default=["dense:c=1,lambda=0.5,everywhere=true", "conventional"],
+        metavar="SPEC",
+        help="solver specs, e.g. dense:c=2,lambda=1 conventional",
     )
     run_p.add_argument("--reps", type=int, default=10)
     run_p.add_argument("--discard", type=int, default=2, help="warm-up runs dropped from timing")
@@ -356,7 +348,7 @@ def main(argv=None) -> int:
     prof_p.add_argument("--metric", choices=sorted(METRIC_FIELDS), default="iter")
     prof_p.add_argument("--in", dest="in_dir", required=True, help="directory with records.json")
     prof_p.add_argument("--out", default=None, help="output directory (defaults to --in)")
-    prof_p.set_defaults(func=_cmd_profile)
+    prof_p.set_defaults(func=_cmd_profile, usage_error=prof_p.error)
 
     args = parser.parse_args(argv)
     return args.func(args)

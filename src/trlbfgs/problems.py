@@ -60,7 +60,7 @@ def _tridia(n: int) -> Problem:
 def _ext_rosenbrock(n: int) -> Problem:
     """Pairwise Rosenbrock blocks; n must be even."""
     if n % 2 != 0:
-        raise ValueError("ext_rosenbrock needs even n")
+        raise ValueError(f"ext_rosenbrock needs even n, got {n}")
 
     def f(x):
         xo, xe = x[0::2], x[1::2]
@@ -82,7 +82,7 @@ def _ext_rosenbrock(n: int) -> Problem:
 def _gen_rosenbrock(n: int) -> Problem:
     """Chained Rosenbrock: consecutive coordinates coupled."""
     if n < 2:
-        raise ValueError("gen_rosenbrock needs n >= 2")
+        raise ValueError(f"gen_rosenbrock needs n >= 2, got {n}")
 
     def f(x):
         t = x[1:] - x[:-1] ** 2
@@ -103,7 +103,7 @@ def _gen_rosenbrock(n: int) -> Problem:
 def _ext_powell(n: int) -> Problem:
     """Powell's singular function in 4-blocks; n must be a multiple of 4."""
     if n % 4 != 0:
-        raise ValueError("ext_powell needs n divisible by 4")
+        raise ValueError(f"ext_powell needs n divisible by 4, got {n}")
 
     def f(x):
         a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
@@ -228,7 +228,7 @@ def _broyden_tridiag(n: int) -> Problem:
 def _arwhead(n: int) -> Problem:
     """Quartic heads coupled to the last coordinate: sum (xi^2+xn^2)^2 - 4xi + 3."""
     if n < 2:
-        raise ValueError("arwhead needs n >= 2")
+        raise ValueError(f"arwhead needs n >= 2, got {n}")
 
     def f(x):
         t = x[:-1] ** 2 + x[-1] ** 2
@@ -282,12 +282,15 @@ def get(name: str, n: int) -> Problem:
     """Build one problem by name at dimension n.
 
     Raises KeyError for unknown names and ValueError for dimensions a
-    problem cannot take (parity or divisibility constraints).
+    problem cannot take (n < 1, or a problem's parity or divisibility
+    constraint); the ValueError names n.
     """
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; available: {', '.join(PROBLEM_NAMES)}") from None
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return factory(n)
 
 

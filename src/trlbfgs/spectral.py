@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 # Rank threshold on the pivots of the column-normalized Gram; see factorize.
+# denseinit._gram_pinv drops the eigenvalues at or below it of the same
+# normalized Gram (column scaling takes gamma out of Psi^T Psi).
 EPS_R = 1e-14
 
 

@@ -1,10 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from dataclasses import asdict
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import trlbfgs
+from trlbfgs import bench
 from trlbfgs.bench import (
     BLAS_THREAD_VARS,
     TAU_GRID,
@@ -13,10 +21,12 @@ from trlbfgs.bench import (
     main,
     parse_solver_spec,
     profile_ratios,
-    split_solver_specs,
+    run_suite,
     write_profile,
     write_records,
 )
+from trlbfgs.driver import SolverConfig
+from trlbfgs.problems import Problem, get
 
 DENSE_ID = "dense(c=1,lambda=0.5,everywhere=true)"
 
@@ -37,8 +47,8 @@ def record(problem, solver_id, iterations, status="converged", n=10):
 
 def test_run_then_profile_round_trip(tmp_path, capsys):
     out = tmp_path / "out"
-    argv = ["run", "--problems", "arwhead,dqrtic", "--n", "20"]
-    argv += ["--solvers", "dense,conventional", "--reps", "2", "--discard", "1"]
+    argv = ["run", "--problems", "arwhead", "dqrtic", "--n", "20"]
+    argv += ["--solvers", "dense", "conventional", "--reps", "2", "--discard", "1"]
     assert main(argv + ["--out", str(out)]) == 0
 
     payload = json.loads((out / "records.json").read_text(encoding="utf-8"))
@@ -71,7 +81,7 @@ def test_run_then_profile_round_trip(tmp_path, capsys):
 
 
 def test_profile_leaves_the_records_untouched(tmp_path):
-    argv = ["run", "--problems", "arwhead", "--n", "10", "--solvers", "dense,conventional"]
+    argv = ["run", "--problems", "arwhead", "--n", "10", "--solvers", "dense", "conventional"]
     assert main(argv + ["--reps", "1", "--out", str(tmp_path)]) == 0
     before = (tmp_path / "records.json").read_bytes()
     assert main(["profile", "--in", str(tmp_path), "--metric", "time"]) == 0
@@ -131,18 +141,128 @@ def test_run_rejects_a_non_finite_solver_parameter_before_solving(tmp_path, caps
     assert not out.exists()
 
 
-def test_split_solver_specs_keeps_commas_inside_a_spec():
-    assert split_solver_specs("dense:c=1,lambda=0.5,everywhere=true,conventional") == [
-        "dense:c=1,lambda=0.5,everywhere=true",
-        "conventional",
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["--problems", "nosuch"], "nosuch"),
+        (["--problems", "arwhead", "--n", "1"], "arwhead needs n >= 2, got 1"),
+        (["--problems", "ext_powell", "--n", "10"], "ext_powell needs n divisible by 4, got 10"),
+        (["--problems", "quad_diag", "--n", "0"], "n must be at least 1, got 0"),
+        (["--reps", "0"], "repetitions must be at least 1, got 0"),
+        (["--discard", "-1"], "discard must be at least 0, got -1"),
+        (["--solvers", "dense", "dense:c=1"], f"[{DENSE_ID!r}, {DENSE_ID!r}]"),
+        (["--problems", "arwhead", "tridia", "arwhead"], "['arwhead', 'tridia', 'arwhead']"),
+    ],
+)
+def test_run_rejects_a_bad_argument_before_solving(tmp_path, capsys, monkeypatch, args, named):
+    def no_solve(*_):
+        raise AssertionError("a rejected command line must not solve")
+
+    monkeypatch.setattr(bench, "minimize", no_solve)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_module_reports_an_unknown_problem_without_a_traceback():
+    src = str(Path(trlbfgs.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trlbfgs.bench", "run", "--problems", "nosuch"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "nosuch" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_profile_without_records_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--in", str(tmp_path)])
+    assert exc.value.code == 2
+    assert str(tmp_path / "records.json") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"meta": {}, "records": [{"problem": "a", "n": 10}]}),
+        json.dumps({"meta": {}, "records": []}),
+        json.dumps([{"problem": "a"}]),
+        json.dumps({"meta": {}, "records": [asdict(record("a", "x", 4))] * 2}),
+        "{not json",
+    ],
+)
+def test_profile_of_unreadable_records_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "records.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--in", str(tmp_path)])
+    assert exc.value.code == 2
+    assert str(path) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def outcome(iterations):
+    return SimpleNamespace(
+        iterations=iterations, total_steps=iterations, status="converged", f_final=0.0, g_norm_final=0.0
+    )
+
+
+def test_run_suite_records_a_raising_cell_and_goes_on():
+    def broken_f(x):
+        raise FloatingPointError("f cannot be evaluated")
+
+    good = get("arwhead", 10)
+    broken = Problem("broken", 10, broken_f, good.eval_g, good.x0)
+    records = run_suite([("conventional", SolverConfig(conventional=True))], [broken, good], 2, 0)
+    assert [(r.problem, r.status) for r in records] == [
+        ("broken", "numerical_failure"),
+        ("arwhead", "converged"),
     ]
-    assert split_solver_specs(" conventional , dense ,") == ["conventional", "dense"]
+    failed = records[0]
+    assert (failed.iterations, failed.total_steps) == (0, 0)
+    assert np.isnan(failed.f_final) and np.isnan(failed.g_norm_final)
+    assert failed.time_seconds >= 0.0
 
 
-@pytest.mark.parametrize("text", ["", " , ", "c=1,dense"])
-def test_split_solver_specs_rejects(text):
-    with pytest.raises(ValueError):
-        split_solver_specs(text)
+def test_run_suite_fails_a_cell_whose_later_repetition_raises(monkeypatch):
+    first = [outcome(4)]
+
+    def minimize(*_):
+        if first:
+            return first.pop()
+        raise FloatingPointError("the second repetition fails")
+
+    monkeypatch.setattr(bench, "minimize", minimize)
+    (rec,) = run_suite([("conventional", SolverConfig(conventional=True))], [get("arwhead", 10)], 3, 0)
+    assert (rec.status, rec.iterations) == ("numerical_failure", 0)
+
+
+def test_run_suite_rejects_nondeterministic_iteration_counts(monkeypatch):
+    counts = iter([5, 5, 6])
+    monkeypatch.setattr(bench, "minimize", lambda *_: outcome(next(counts)))
+    with pytest.raises(RuntimeError, match="nondeterministic"):
+        run_suite([("conventional", SolverConfig(conventional=True))], [get("arwhead", 10)], 3, 0)
+
+
+@pytest.mark.parametrize("discard,mean", [(0, 2.0), (1, 2.5), (2, 3.0), (3, 3.0), (7, 3.0)])
+def test_run_suite_times_the_runs_after_the_discarded_ones(monkeypatch, discard, mean):
+    # Run k starts at clock value k(k+1)/2 and lasts k+1, so the runs take 1, 2 and 3.
+    clock = iter([0.0, 1.0, 1.0, 3.0, 3.0, 6.0])
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(bench, "minimize", lambda *_: outcome(4))
+    config = [("conventional", SolverConfig(conventional=True))]
+    (rec,) = run_suite(config, [get("arwhead", 10)], repetitions=3, discard=discard)
+    assert rec.time_seconds == mean
+    assert (rec.iterations, rec.status) == (4, "converged")
 
 
 def test_profile_ratios_failed_run_is_inf():

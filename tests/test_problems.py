@@ -119,6 +119,8 @@ def test_unknown_name_raises_keyerror():
 
 
 def test_dimension_constraints_raise():
+    with pytest.raises(ValueError, match="got 0"):
+        t.get("quad_diag", 0)
     with pytest.raises(ValueError):
         t.get("ext_rosenbrock", 7)
     with pytest.raises(ValueError):

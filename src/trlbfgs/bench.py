@@ -21,8 +21,14 @@ threads change the rounding of the dense products: ``ext_rosenbrock`` at
 n = 10^6 takes 50 steps with one OpenBLAS thread and 74 with two.  The
 count is fixed when numpy loads, so set ``OPENBLAS_NUM_THREADS`` (or
 ``OMP_NUM_THREADS``/``MKL_NUM_THREADS``) before starting ``bench``.
-``bench run`` records these variables, the library versions and the CPU
-count in the ``meta`` of ``records.json``.
+``bench run`` records these variables, the library versions, the CPU count
+and the CPUs the process may run on (``nproc``) in the ``meta`` of
+``records.json``.
+
+A solve at n >= 2^19 runs the S half and the Y half of each pass over the
+stored pairs on two threads (see ``trlbfgs.pairs``); with BLAS pinned to one
+thread each of them calls single-threaded BLAS, and the results are bitwise
+those of the serial path that smaller solves take.
 """
 
 import argparse
@@ -70,6 +76,9 @@ class RunRecord:
     status: str
     f_final: float
     g_norm_final: float
+    # "Type: message" of the exception that ended a failed cell.  The
+    # default keeps records.json files written without it loadable.
+    error: str = ""
 
 
 def parse_solver_spec(spec: str) -> tuple[str, dict]:
@@ -124,7 +133,8 @@ def run_suite(
     identical across repetitions; the reported time is the mean after
     dropping the first ``discard`` warm-up runs (never dropping all of
     them).  A run that raises ends its cell with a ``numerical_failure``
-    record, timed over the runs made; it does not abort the suite.
+    record, timed over the runs made, whose ``error`` names the exception;
+    it does not abort the suite.
     """
     if not configs or not problems:
         raise ValueError("need at least one solver config and one problem")
@@ -132,12 +142,13 @@ def run_suite(
     records = []
     for solver_id, config in configs:
         for prob in problems:
-            times, results = [], []
+            times, results, error = [], [], ""
             for _ in range(repetitions):
                 t0 = time.perf_counter()
                 try:
                     results.append(minimize(prob, prob.x0, config))
-                except Exception:  # capture, never abort the suite
+                except Exception as exc:  # capture, never abort the suite
+                    error = f"{type(exc).__name__}: {exc}"
                     results.clear()
                     break
                 finally:
@@ -163,6 +174,7 @@ def run_suite(
                     status=res.status,
                     f_final=res.f_final,
                     g_norm_final=res.g_norm_final,
+                    error=error,
                 )
             )
     return records
@@ -255,6 +267,7 @@ def _environment() -> dict:
         "scipy": scipy.__version__,
         "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
         "cpu_count": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
     }
 
 
@@ -279,6 +292,11 @@ def _cmd_run(args) -> int:
                 raise ValueError(f"each solver and problem can be given once, got {given}")
     except ValueError as exc:
         args.usage_error(str(exc))
+    # Fail before the sweep, not after it, when the records cannot be written.
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        args.usage_error(f"cannot create output directory {args.out}: {exc}")
 
     records = run_suite(configs, problems, repetitions=args.reps, discard=args.discard)
     meta = {

@@ -9,15 +9,93 @@ accepted pair, so the n-dimensional work per push stays O(m n).
 
 A pair is accepted when ``s^T y > C3 ||s|| ||y||``.  ``C3`` is fixed at
 1e-8 because every caller uses that value.
+
+The S rows and the Y rows are independent, so from ``n >= SPLIT_MIN_N``
+(2^19) a pass over them runs its S half on a second thread while the
+calling thread runs its Y half: ``try_push``'s eviction shift, Gram-row
+products and row write per side, and ``vt_dot``'s two gemvs (which also
+serve ``sc_norm``).  Below it both halves run in series on the calling
+thread.  Each BLAS call is the same single call either way, so every float
+is the same.  A thread is started and joined per split, so none outlives
+the call that made it.  On a 2-CPU virtual machine with one BLAS thread
+that costs 0.4 to 0.55 ms, and ``ext_rosenbrock`` at n = 10^6 splits 113
+times in its 50 steps, so about 1 ms of a 73 ms step.  The split took that
+solve's step from a median 84 to 73 ms (13%, 10 alternating 40 s runs a
+side, ``solverbench`` ``rosenbrock-1m``), while with the threshold at 2^16
+``ext_powell`` at n = 10^5 read slower in 3 of 3 pairs (20.5 -> 22.0,
+19.3 -> 25.4 and 20.1 -> 21.1 ms a step), so the threshold sits between
+the two.
+
+The halves call ``np.dot``, not ``@``: ``matmul`` holds the GIL through its
+gemv, so two concurrent ``(5, 10^6)`` products took 10.5 ms with ``@``
+against 9.6 ms in series, while ``np.dot`` releases it (5.9 against 10.0
+ms; the two eviction shifts took 8.5 against 14.9 ms).  ``np.dot`` gives
+the same floats as ``@`` for these shapes and costs less at small n (2.0
+against 2.2 to 3.3 us for a ``(4, 1000)`` gemv), so the serial path uses
+it too.
+
+``psi_dot``'s and ``unconstrained_step``'s ``S @ w1`` and ``Y @ w2`` stay
+serial: splitting them as well raised the peak RSS of the n = 10^6 solve
+from 202 to 218 MB, likely because those products allocate n-vectors on the
+second thread (not verified).  Nothing n-sized is allocated on the second
+thread here: its products are m-vectors and its shift and row write are in
+place.
 """
 
 import math
+import threading
 
 import numpy as np
 
 __all__ = ["PairBuffer"]
 
 C3 = 1e-8
+# Dimension from which a pass over the pairs runs its S half on a second thread.
+SPLIT_MIN_N = 2**19
+
+
+def _in_halves(n: int, s_half, y_half):
+    """``(s_half(), y_half())``, with ``s_half`` on a second thread when ``n >= SPLIT_MIN_N``.
+
+    The second thread is joined before this returns or raises, and an
+    exception from either half is raised here (the Y half's first).
+    """
+    if n < SPLIT_MIN_N:
+        return s_half(), y_half()
+    s_out = [None, None]  # (result, exception) of the S half
+
+    def run():
+        try:
+            s_out[0] = s_half()
+        except BaseException as exc:  # re-raised on the calling thread
+            s_out[1] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        y_result = y_half()
+    finally:
+        worker.join()
+    if s_out[1] is not None:
+        raise s_out[1]
+    return s_out[0], y_result
+
+
+def _push_row(rows: np.ndarray, new: np.ndarray, k: int, evict: bool, s: np.ndarray, y: np.ndarray):
+    """Store ``new`` as row ``k`` of ``rows`` and return the kept rows' products with ``s`` and ``y``.
+
+    With ``evict`` the rows first shift up by one, dropping the oldest.
+    The shift runs on the flat 1-D view, where numpy copies overlapping
+    memory in place; a 2-D overlapping assignment would allocate a
+    temporary.
+    """
+    if evict:
+        flat = rows.reshape(-1)
+        flat[: -rows.shape[1]] = flat[rows.shape[1] :]
+    kept = rows[:k]
+    products = np.dot(kept, s), np.dot(kept, y)
+    rows[k] = new
+    return products
 
 
 class PairBuffer:
@@ -98,32 +176,26 @@ class PairBuffer:
             return False
 
         k = self.count
-        if k == self.m:
-            # Evict the oldest pair: shift the rows up by one.  The shift runs
-            # on the flat 1-D view, where numpy copies overlapping memory in
-            # place; a 2-D overlapping assignment would allocate a temporary.
-            for rows in (self._s_rows, self._y_rows):
-                flat = rows.reshape(-1)
-                flat[: -self.n] = flat[self.n :]
+        evict = k == self.m
+        if evict:
+            # Evict the oldest pair from the blocks; _push_row does the rows.
             for block in (self._ss, self._sy, self._yy):
                 block[:-1, :-1] = block[1:, 1:]
             k -= 1
 
         # Cross products against the surviving rows fill the new row and column.
-        S_rows, Y_rows = self._s_rows[:k], self._y_rows[:k]
-        Ss = S_rows @ s
-        Ys = Y_rows @ s
-        Yy = Y_rows @ y
+        (Ss, Sy), (Ys, Yy) = _in_halves(
+            self.n,
+            lambda: _push_row(self._s_rows, s, k, evict, s, y),
+            lambda: _push_row(self._y_rows, y, k, evict, s, y),
+        )
         self._ss[:k, k] = self._ss[k, :k] = Ss
-        self._sy[:k, k] = S_rows @ y
+        self._sy[:k, k] = Sy
         self._sy[k, :k] = Ys
         self._yy[:k, k] = self._yy[k, :k] = Yy
         self._ss[k, k] = ss
         self._sy[k, k] = sy
         self._yy[k, k] = yy
-
-        self._s_rows[k] = s
-        self._y_rows[k] = y
         self.count = k + 1
         self._views = None
         return True
@@ -131,7 +203,13 @@ class PairBuffer:
     def vt_dot(self, x: np.ndarray) -> np.ndarray:
         """``V^T x = [S^T x; Y^T x]`` with ``V = [S, Y]``, two gemvs over the rows."""
         k = self.count
-        return np.concatenate([self._s_rows[:k] @ x, self._y_rows[:k] @ x])
+        return np.concatenate(
+            _in_halves(
+                self.n,
+                lambda: np.dot(self._s_rows[:k], x),
+                lambda: np.dot(self._y_rows[:k], x),
+            )
+        )
 
     def strict_lower(self, size: int) -> np.ndarray:
         """Boolean mask of the strictly lower triangle of a size-by-size matrix, ``size <= 2m``."""

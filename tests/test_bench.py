@@ -58,7 +58,7 @@ def test_run_then_profile_round_trip(tmp_path, capsys):
     env = meta["environment"]
     assert env["numpy"] == np.__version__
     assert set(env["blas_threads"]) == set(BLAS_THREAD_VARS)
-    assert {"python", "scipy", "cpu_count"} <= set(env)
+    assert {"python", "scipy", "cpu_count", "nproc"} <= set(env)
     records = payload["records"]
     assert {(r["problem"], r["solver_id"]) for r in records} == {
         (p, s) for p in ("arwhead", "dqrtic") for s in (DENSE_ID, "conventional")
@@ -167,6 +167,22 @@ def test_run_rejects_a_bad_argument_before_solving(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["existing_file", "path_under_a_file"])
+def test_run_with_an_unusable_out_path_fails_before_solving(tmp_path, capsys, monkeypatch, under_file):
+    def no_solve(*_):
+        pytest.fail("an unwritable --out must be reported before solving")
+
+    monkeypatch.setattr(bench, "minimize", no_solve)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    out = afile / "sub" if under_file else afile
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problems", "arwhead", "--n", "10", "--reps", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"cannot create output directory {out}" in capsys.readouterr().err
+    assert afile.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_bench_module_reports_an_unknown_problem_without_a_traceback():
     src = str(Path(trlbfgs.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -231,6 +247,8 @@ def test_run_suite_records_a_raising_cell_and_goes_on():
     assert (failed.iterations, failed.total_steps) == (0, 0)
     assert np.isnan(failed.f_final) and np.isnan(failed.g_norm_final)
     assert failed.time_seconds >= 0.0
+    assert failed.error == "FloatingPointError: f cannot be evaluated"
+    assert records[1].error == ""
 
 
 def test_run_suite_fails_a_cell_whose_later_repetition_raises(monkeypatch):
@@ -244,6 +262,7 @@ def test_run_suite_fails_a_cell_whose_later_repetition_raises(monkeypatch):
     monkeypatch.setattr(bench, "minimize", minimize)
     (rec,) = run_suite([("conventional", SolverConfig(conventional=True))], [get("arwhead", 10)], 3, 0)
     assert (rec.status, rec.iterations) == ("numerical_failure", 0)
+    assert rec.error == "FloatingPointError: the second repetition fails"
 
 
 def test_run_suite_rejects_nondeterministic_iteration_counts(monkeypatch):
@@ -308,13 +327,13 @@ def test_profile_ratios_rejects_duplicates_and_unknown_metric():
 
 
 def test_records_csv_quotes_the_dense_solver_id(tmp_path):
-    # The dense id contains commas; unquoted, its row splits into 11 fields.
+    # The dense id contains commas; unquoted, its row splits into 12 fields.
     records = [record("a", DENSE_ID, 4), record("a", "conventional", 5)]
     write_records(records, tmp_path, meta={})
     with (tmp_path / "records.csv").open(encoding="utf-8", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == ["problem", "n", "solver_id", "iterations", "total_steps",
-                      "time_seconds", "status", "f_final", "g_norm_final"]
+                      "time_seconds", "status", "f_final", "g_norm_final", "error"]
     assert [len(row) for row in rows] == [len(header)] * len(records)
     assert [row[header.index("solver_id")] for row in rows] == [DENSE_ID, "conventional"]
 
@@ -361,3 +380,21 @@ def test_load_records_returns_the_records_written(tmp_path):
     records = [record("a", DENSE_ID, 4), record("b", "conventional", 5, status="max_iter")]
     write_records(records, tmp_path, {"n": 10})
     assert load_records(tmp_path / "records.json") == records
+
+
+def test_write_records_carries_the_error_into_both_files(tmp_path):
+    failed = RunRecord(**{**asdict(record("a", "x", 0, status="numerical_failure")), "error": "LinAlgError: x, y"})
+    write_records([failed, record("b", "x", 4)], tmp_path, {})
+    with (tmp_path / "records.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["error"] for row in rows] == ["LinAlgError: x, y", ""]
+    payload = json.loads((tmp_path / "records.json").read_text(encoding="utf-8"))
+    assert [r["error"] for r in payload["records"]] == ["LinAlgError: x, y", ""]
+
+
+def test_load_records_reads_records_written_without_an_error_field(tmp_path):
+    old = {k: v for k, v in asdict(record("a", "x", 4)).items() if k != "error"}
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps({"meta": {}, "records": [old]}), encoding="utf-8")
+    assert load_records(path) == [record("a", "x", 4)]
+    assert load_records(path)[0].error == ""

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import threading
 import weakref
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 import trlbfgs as t
 import trlbfgs.driver as driver
+import trlbfgs.pairs as pairs
 from trlbfgs.denseinit import GAMMA0_PERP
 from trlbfgs.driver import (
     ETA1,
@@ -324,19 +326,47 @@ def test_step_selection_reuses_u_and_gg_bitwise():
     assert u.tobytes() == u_bytes
 
 
-def test_fingerprint_sweep_prints_identical_lines_twice(capsys):
+def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
     # The registry at n = 20 under every spec of the reference sweep; the
     # full sweep (n up to 10^6) is run by hand to compare two checkouts.
     # The second sweep keeps a trace, which takes the shape-changing norm
     # of every step and so the factorization of every pair state; the
-    # results must not move.
+    # results must not move.  The third splits every pass over the pairs
+    # across two threads, which must not move them either.
     args = ["--sizes", "20", "--no-large"]
     fingerprint.main(args)
     first = capsys.readouterr().out.splitlines()
     fingerprint.main(args + ["--keep-trace"])
     assert capsys.readouterr().out.splitlines() == first
+    monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
+    fingerprint.main(args)
+    assert capsys.readouterr().out.splitlines() == first
     assert len(first) == len(t.PROBLEM_NAMES) * len(fingerprint.SPECS) == 44
     assert all(len(line.split()) == 13 for line in first)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_no_thread_outlives_a_split_solve(monkeypatch, raises):
+    monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
+    real_dot = np.dot
+    calls = [0]
+
+    def dot(a, b):
+        calls[0] += 1
+        if raises and calls[0] > 40:
+            raise FloatingPointError("a pass over the pairs fails")
+        return real_dot(a, b)
+
+    monkeypatch.setattr(pairs.np, "dot", dot)
+    prob = t.get("ext_rosenbrock", 20)
+    start = threading.active_count()
+    if raises:
+        with pytest.raises(FloatingPointError, match="pairs fails"):
+            t.minimize(prob, prob.x0)
+    else:
+        assert t.minimize(prob, prob.x0).status == STATUS_CONVERGED
+    assert calls[0] > 40
+    assert threading.active_count() == start
 
 
 def _load_references():

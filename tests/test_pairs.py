@@ -1,8 +1,11 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import trlbfgs as t
-from trlbfgs import PairBuffer
+from trlbfgs import PairBuffer, pairs
 
 from oracles import C3, fill_buffer, random_pairs
 
@@ -206,3 +209,51 @@ def test_triangular_split_runs_once_per_push(monkeypatch):
 def test_triangular_views_empty_buffer_raises():
     with pytest.raises(ValueError):
         PairBuffer(3, 2).triangular_views()
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_np_dot_equals_matmul_bitwise(k):
+    # A pass over the pairs calls np.dot, which releases the GIL, on both
+    # its split and its serial path; that is one code path only because
+    # np.dot rounds as @ does, in both orientations.
+    rng = np.random.default_rng(k)
+    n = 100003
+    rows = rng.standard_normal((k, n))
+    x = rng.standard_normal(n)
+    w = rng.standard_normal(k)
+    assert np.dot(rows, x).tobytes() == (rows @ x).tobytes()
+    assert np.dot(rows.T, w).tobytes() == (rows.T @ w).tobytes()
+
+
+@pytest.mark.parametrize("side", ["S", "Y"])
+def test_an_exception_in_either_half_reaches_the_caller_after_the_join(monkeypatch, side):
+    rng = np.random.default_rng(5)
+    n, m = 30, 3
+    buf = PairBuffer(n, m)
+    for s, y in random_pairs(rng, n, m):
+        assert buf.try_push(s, y)
+    (s, y), = random_pairs(rng, n, 1)
+    monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
+    real_dot = np.dot
+    s_threads = []
+
+    def dot(a, b):
+        if np.shares_memory(a, buf._s_rows):
+            s_threads.append(threading.current_thread())
+            if side == "S":
+                raise FloatingPointError("S half fails")
+            time.sleep(0.1)  # still running when the Y half raises
+        elif side == "Y" and np.shares_memory(a, buf._y_rows):
+            raise FloatingPointError("Y half fails")
+        return real_dot(a, b)
+
+    monkeypatch.setattr(pairs.np, "dot", dot)
+    start = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"{side} half fails"):
+        buf.try_push(s, y)
+    assert threading.active_count() == start
+    with pytest.raises(FloatingPointError, match=f"{side} half fails"):
+        buf.vt_dot(s)
+    assert threading.active_count() == start
+    # The S rows were multiplied on the second thread, never the caller's.
+    assert s_threads and threading.current_thread() not in s_threads

@@ -25,10 +25,11 @@ count is fixed when numpy loads, so set ``OPENBLAS_NUM_THREADS`` (or
 and the CPUs the process may run on (``nproc``) in the ``meta`` of
 ``records.json``.
 
-A solve at n >= 2^19 runs the S half and the Y half of each pass over the
-stored pairs on two threads (see ``trlbfgs.pairs``); with BLAS pinned to one
-thread each of them calls single-threaded BLAS, and the results are bitwise
-those of the serial path that smaller solves take.
+A solve at n >= 2^19, in a process that may run on two CPUs or more, runs
+the S half and the Y half of each pass over the stored pairs on two threads
+(see ``trlbfgs.pairs``); with BLAS pinned to one thread each of them calls
+single-threaded BLAS, and the results are bitwise those of the serial path
+that smaller solves take.
 """
 
 import argparse
@@ -36,6 +37,7 @@ import csv
 import json
 import os
 import platform
+import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -295,8 +297,9 @@ def _cmd_run(args) -> int:
     # Fail before the sweep, not after it, when the records cannot be written.
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=args.out).close()
     except OSError as exc:
-        args.usage_error(f"cannot create output directory {args.out}: {exc}")
+        args.usage_error(f"cannot write records to {args.out}: {exc}")
 
     records = run_suite(configs, problems, repetitions=args.reps, discard=args.discard)
     meta = {

@@ -14,17 +14,23 @@ The S rows and the Y rows are independent, so from ``n >= SPLIT_MIN_N``
 (2^19) a pass over them runs its S half on a second thread while the
 calling thread runs its Y half: ``try_push``'s eviction shift, Gram-row
 products and row write per side, and ``vt_dot``'s two gemvs (which also
-serve ``sc_norm``).  Below it both halves run in series on the calling
-thread.  Each BLAS call is the same single call either way, so every float
-is the same.  A thread is started and joined per split, so none outlives
-the call that made it.  On a 2-CPU virtual machine with one BLAS thread
-that costs 0.4 to 0.55 ms, and ``ext_rosenbrock`` at n = 10^6 splits 113
-times in its 50 steps, so about 1 ms of a 73 ms step.  The split took that
-solve's step from a median 84 to 73 ms (13%, 10 alternating 40 s runs a
-side, ``solverbench`` ``rosenbrock-1m``), while with the threshold at 2^16
-``ext_powell`` at n = 10^5 read slower in 3 of 3 pairs (20.5 -> 22.0,
-19.3 -> 25.4 and 20.1 -> 21.1 ms a step), so the threshold sits between
-the two.
+serve ``sc_norm``).  Below it, or when the process may run on one CPU
+only, both halves run in series on the calling thread.  Each BLAS call is
+the same single call either way, so every float is the same.  A thread is
+started and joined per split, so none outlives the call that made it.
+
+The split was measured on one 2-CPU virtual machine only.  There a thread
+start and join costs 0.4 to 0.55 ms, and ``ext_rosenbrock`` at n = 10^6
+splits 113 times in its 50 steps, so about 1 ms of a step.  With one BLAS
+thread, as ``solverbench`` runs it, the split took that solve's
+``rosenbrock-1m`` step from a median 80.7 to 72.7 ms (10%, lower in 10 of
+10 alternating 40 s runs a side, the parent's quartiles 5.1 ms apart); two
+earlier series on the same host read 84.2 -> 73.3 ms (9 of 10) and 77.0 ->
+71.5 ms (7 of 10).  With BLAS left to its default of two threads the same
+solve read 106.8 -> 103.2 ms, lower in 3 of 6 pairs of single solves: no
+gain, and no cost that the host's noise shows.  With the threshold at 2^16, ``ext_powell``
+at n = 10^5 read slower in 3 of 3 pairs (20.5 -> 22.0, 19.3 -> 25.4 and
+20.1 -> 21.1 ms a step), so the threshold sits between the two.
 
 The halves call ``np.dot``, not ``@``: ``matmul`` holds the GIL through its
 gemv, so two concurrent ``(5, 10^6)`` products took 10.5 ms with ``@``
@@ -43,6 +49,7 @@ place.
 """
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -54,13 +61,22 @@ C3 = 1e-8
 SPLIT_MIN_N = 2**19
 
 
-def _in_halves(n: int, s_half, y_half):
-    """``(s_half(), y_half())``, with ``s_half`` on a second thread when ``n >= SPLIT_MIN_N``.
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The second thread is joined before this returns or raises, and an
-    exception from either half is raised here (the Y half's first).
+
+def _in_halves(n: int, s_half, y_half):
+    """``(s_half(), y_half())``, with ``s_half`` on a second thread when the pass splits.
+
+    A pass splits when ``n >= SPLIT_MIN_N`` and the process may run on two
+    CPUs or more.  The second thread is joined before this returns or
+    raises, and an exception from either half is raised here (the Y half's
+    first).
     """
-    if n < SPLIT_MIN_N:
+    if n < SPLIT_MIN_N or _usable_cpus() < 2:
         return s_half(), y_half()
     s_out = [None, None]  # (result, exception) of the S half
 

@@ -167,19 +167,25 @@ def test_run_rejects_a_bad_argument_before_solving(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.parametrize("under_file", [False, True], ids=["existing_file", "path_under_a_file"])
-def test_run_with_an_unusable_out_path_fails_before_solving(tmp_path, capsys, monkeypatch, under_file):
+@pytest.mark.parametrize("case", ["existing_file", "path_under_a_file", "unwritable_dir"])
+def test_run_with_an_unusable_out_path_fails_before_solving(tmp_path, capsys, monkeypatch, case):
     def no_solve(*_):
         pytest.fail("an unwritable --out must be reported before solving")
+
+    def no_write(*_, **__):
+        raise PermissionError("Permission denied")
 
     monkeypatch.setattr(bench, "minimize", no_solve)
     afile = tmp_path / "afile"
     afile.write_text("kept\n", encoding="utf-8")
-    out = afile / "sub" if under_file else afile
+    out = {"existing_file": afile, "path_under_a_file": afile / "sub", "unwritable_dir": tmp_path / "dir"}[case]
+    if case == "unwritable_dir":
+        # Root may write anywhere, so the directory's refusal is simulated.
+        monkeypatch.setattr(bench.tempfile, "TemporaryFile", no_write)
     with pytest.raises(SystemExit) as exc:
         main(["run", "--problems", "arwhead", "--n", "10", "--reps", "1", "--out", str(out)])
     assert exc.value.code == 2
-    assert f"cannot create output directory {out}" in capsys.readouterr().err
+    assert f"cannot write records to {out}" in capsys.readouterr().err
     assert afile.read_text(encoding="utf-8") == "kept\n"
 
 

@@ -339,6 +339,7 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
     fingerprint.main(args + ["--keep-trace"])
     assert capsys.readouterr().out.splitlines() == first
     monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
+    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
     fingerprint.main(args)
     assert capsys.readouterr().out.splitlines() == first
     assert len(first) == len(t.PROBLEM_NAMES) * len(fingerprint.SPECS) == 44
@@ -348,6 +349,7 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
 @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
 def test_no_thread_outlives_a_split_solve(monkeypatch, raises):
     monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
+    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
     real_dot = np.dot
     calls = [0]
 

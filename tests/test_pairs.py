@@ -234,6 +234,7 @@ def test_an_exception_in_either_half_reaches_the_caller_after_the_join(monkeypat
         assert buf.try_push(s, y)
     (s, y), = random_pairs(rng, n, 1)
     monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
+    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
     real_dot = np.dot
     s_threads = []
 
@@ -257,3 +258,21 @@ def test_an_exception_in_either_half_reaches_the_caller_after_the_join(monkeypat
     assert threading.active_count() == start
     # The S rows were multiplied on the second thread, never the caller's.
     assert s_threads and threading.current_thread() not in s_threads
+
+
+def test_a_pass_stays_on_the_calling_thread_with_one_usable_cpu(monkeypatch):
+    rng = np.random.default_rng(6)
+    n, m = 30, 3
+    pairs_in = random_pairs(rng, n, m + 2)
+    serial = fill_buffer(rng, n, len(pairs_in), m=m, pairs=pairs_in)
+
+    def no_thread(*_, **__):
+        pytest.fail("a pass split with one usable CPU")
+
+    monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
+    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(pairs.threading, "Thread", no_thread)
+    buf = fill_buffer(rng, n, len(pairs_in), m=m, pairs=pairs_in)
+    x = rng.standard_normal(n)
+    assert buf.vt_dot(x).tobytes() == serial.vt_dot(x).tobytes()
+    assert buf.gram_SY.tobytes() == serial.gram_SY.tobytes()

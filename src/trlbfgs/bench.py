@@ -89,7 +89,7 @@ def parse_solver_spec(spec: str) -> tuple[str, dict]:
     if spec == "conventional":
         return "conventional", {"conventional": True}
     if spec == "dense" or spec.startswith("dense:"):
-        c, lam, everywhere = 1.0, 0.5, True
+        c, lam, everywhere = SolverConfig.c, SolverConfig.lam, SolverConfig.dense_everywhere
         body = spec[len("dense:"):] if spec.startswith("dense:") else ""
         for item in (s for s in body.split(",") if s):
             key, _, value = item.partition("=")
@@ -353,16 +353,16 @@ def main(argv=None) -> int:
     run_p.add_argument(
         "--solvers",
         nargs="+",
-        default=["dense:c=1,lambda=0.5,everywhere=true", "conventional"],
+        default=["dense", "conventional"],
         metavar="SPEC",
         help="solver specs, e.g. dense:c=2,lambda=1 conventional",
     )
     run_p.add_argument("--reps", type=int, default=10)
     run_p.add_argument("--discard", type=int, default=2, help="warm-up runs dropped from timing")
     run_p.add_argument("--out", default=DEFAULT_OUT_DIR, help="output directory")
-    run_p.add_argument("--epsilon", type=float, default=1e-10)
-    run_p.add_argument("--m", type=int, default=5)
-    run_p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
+    run_p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
+    run_p.add_argument("--m", type=int, default=SolverConfig.m)
+    run_p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
     run_p.set_defaults(func=_cmd_run, usage_error=run_p.error)
 
     prof_p = sub.add_parser("profile", help="compute performance profiles from records")

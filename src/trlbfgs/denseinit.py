@@ -18,7 +18,9 @@ The Cholesky factorization and the triangular solves call LAPACK directly:
 ``spectral.solve_upper`` for ``dtrtrs``.  The scipy wrappers' validation and
 batching cost more than the 2m'-dimensional work at n = 10^3, and the Gram
 blocks they would check are finite because every stored pair is.  The same
-routines run on the same arguments, so the floats are unchanged.
+routines run on the same arguments, so the floats are unchanged.  The solves
+are handed the stored ``S^T Y`` block itself: ``dtrtrs`` reads only its upper
+triangle, which is the representation's T, so no triangular copy is made.
 """
 
 import math
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .pairs import PairBuffer
-from .spectral import EPS_R, psi_gram, solve_upper
+from .spectral import EPS_R, normalize_gram, psi_gram, solve_upper
 
 __all__ = ["InverseRep", "perp_scale", "build_inverse", "unconstrained_step", "unconstrained_norm"]
 
@@ -58,14 +60,14 @@ def build_inverse(buffer: PairBuffer, gamma: float, gamma_perp: float) -> Invers
     """Assemble the 2m'-by-2m' middle matrix of the inverse representation.
 
     All work happens in 2m' dimensions: triangular solves against the upper
-    triangle T of ``S^T Y`` and the Cholesky factor of ``V^T V``.  The
-    correction ``alpha = 1/gamma - 1/gamma_perp`` retargets the identity term
-    from gamma to gamma_perp on Range(V); with ``gamma_perp == gamma`` it
-    vanishes and ``M_hat`` is the classical compact inverse's middle matrix.
-    When ``V^T V`` is numerically rank-deficient the correction falls back to
-    a thresholded eigendecomposition of the column-normalized Gram
-    (``_gram_pinv``); the result acts identically inside the ``V (.) V^T``
-    sandwich.
+    triangle T of the stored ``S^T Y`` block, passed whole, and the Cholesky
+    factor of ``V^T V``.  The correction ``alpha = 1/gamma - 1/gamma_perp``
+    retargets the identity term from gamma to gamma_perp on Range(V); with
+    ``gamma_perp == gamma`` it vanishes and ``M_hat`` is the classical
+    compact inverse's middle matrix.  When ``V^T V`` is numerically
+    rank-deficient the correction falls back to a thresholded
+    eigendecomposition of the column-normalized Gram (``_gram_pinv``); the
+    result acts identically inside the ``V (.) V^T`` sandwich.
 
     Both paths are taken.  With one BLAS thread, ``dpotrf`` succeeds on 7180
     of the 7920 calls of a ``registry-1k`` benchmark round, all from dense
@@ -83,14 +85,15 @@ def build_inverse(buffer: PairBuffer, gamma: float, gamma_perp: float) -> Invers
         return InverseRep(M_hat=empty, VtV=empty, gamma_perp=float(gamma_perp))
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    _, D, T = buffer.triangular_views()
-    YY = buffer.gram_YY
-    # T^{-T} (D + gamma^{-1} Y^T Y) T^{-1} via two triangular solves.
-    inner = D + YY / gamma
-    tmp = solve_upper(T, inner, trans=1)
-    A11 = solve_upper(T, tmp.T, trans=1).T
+    # T^{-T} (D + gamma^{-1} Y^T Y) T^{-1} via two triangular solves, with D
+    # the diagonal of S^T Y, added in place.
+    SY = buffer.gram_SY
+    inner = buffer.gram_YY / gamma
+    inner.flat[:: k + 1] += SY.diagonal()
+    tmp = solve_upper(SY, inner, trans=1)
+    A11 = solve_upper(SY, tmp.T, trans=1).T
     A11 = 0.5 * (A11 + A11.T)
-    Tinv = solve_upper(T, buffer.identity(k))
+    Tinv = solve_upper(SY, buffer.identity(k))
     M_hat = np.empty((2 * k, 2 * k))
     M_hat[:k, :k] = A11
     off = -Tinv / gamma
@@ -128,10 +131,7 @@ def _gram_pinv(G: np.ndarray) -> np.ndarray:
     (numerically) linear combinations of the retained ones, so the sandwiched
     projection V G^+ V^T is unaffected by the normalization.
     """
-    d = np.sqrt(np.diag(G))
-    d = np.where(d > 0, d, 1.0)
-    # G and the outer product are exactly symmetric, so Gn is too.
-    Gn = G / np.outer(d, d)
+    Gn, d, _ = normalize_gram(G)
     w, Q = np.linalg.eigh(Gn)
     keep = w > EPS_R
     Qk = Q[:, keep] / d[:, None]

@@ -141,14 +141,11 @@ class PairBuffer:
         self._sy = np.empty((self.m, self.m))
         self._yy = np.empty((self.m, self.m))
         # The leading size-by-size corner of a triangle mask is the mask of
-        # that size, so one mask serves every count (and the 2m'-by-2m'
-        # Gram of Psi).
+        # that size, so one mask serves every count: L of S^T Y in the middle
+        # matrix and the factor of the 2m'-by-2m' Gram of Psi.
         self._strict_lower = np.tri(2 * self.m, k=-1, dtype=bool)
-        self._diagonal = np.eye(self.m, dtype=bool)
         self._identity = np.eye(2 * self.m)
         self._identity.flags.writeable = False
-        # (L, D, T) of the stored pairs, split on first use after each push.
-        self._views = None
         self.rejected = 0
 
     @property
@@ -213,7 +210,6 @@ class PairBuffer:
         self._sy[k, k] = sy
         self._yy[k, k] = yy
         self.count = k + 1
-        self._views = None
         return True
 
     def vt_dot(self, x: np.ndarray) -> np.ndarray:
@@ -234,32 +230,3 @@ class PairBuffer:
     def identity(self, size: int) -> np.ndarray:
         """Read-only size-by-size identity, ``size <= 2m``, as a right-hand side for solves."""
         return self._identity[:size, :size]
-
-    def triangular_views(self):
-        """Split ``S^T Y`` into (L, D, T): strictly lower, diagonal, upper with diagonal.
-
-        The split is made once per accepted pair and every later call until
-        the next push returns the same read-only arrays, so the middle
-        matrix and the compact inverse share it.  Entries outside a part
-        are +0.0, as with ``np.tril``, ``np.triu`` and ``np.diag``.
-        """
-        if self.count == 0:
-            raise ValueError("triangular views need at least one stored pair")
-        if self._views is None:
-            self._views = self._split()
-        return self._views
-
-    def _split(self):
-        # Each part is selected through a mask cached at construction,
-        # sliced to the current count, so no mask is built per split.
-        k = self.count
-        SY = self.gram_SY
-        lower = self.strict_lower(k)
-        views = (
-            np.where(lower, SY, 0.0),
-            np.where(self._diagonal[:k, :k], SY, 0.0),
-            np.where(lower, 0.0, SY),
-        )
-        for part in views:
-            part.flags.writeable = False
-        return views

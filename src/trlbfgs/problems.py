@@ -21,7 +21,6 @@ class Problem:
     eval_f: Callable[[np.ndarray], float]
     eval_g: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
-    f_opt_hint: float | None = None
 
 
 def _quad_diag(n: int) -> Problem:
@@ -34,7 +33,7 @@ def _quad_diag(n: int) -> Problem:
     def g(x):
         return d * x
 
-    return Problem("quad_diag", n, f, g, np.ones(n), f_opt_hint=0.0)
+    return Problem("quad_diag", n, f, g, np.ones(n))
 
 
 def _tridia(n: int) -> Problem:
@@ -54,7 +53,7 @@ def _tridia(n: int) -> Problem:
         out[:-1] -= 2.0 * w * r
         return out
 
-    return Problem("tridia", n, f, g, np.ones(n), f_opt_hint=0.0)
+    return Problem("tridia", n, f, g, np.ones(n))
 
 
 def _ext_rosenbrock(n: int) -> Problem:
@@ -76,7 +75,7 @@ def _ext_rosenbrock(n: int) -> Problem:
 
     x0 = np.ones(n)
     x0[0::2] = -1.2
-    return Problem("ext_rosenbrock", n, f, g, x0, f_opt_hint=0.0)
+    return Problem("ext_rosenbrock", n, f, g, x0)
 
 
 def _gen_rosenbrock(n: int) -> Problem:
@@ -97,7 +96,7 @@ def _gen_rosenbrock(n: int) -> Problem:
 
     x0 = np.ones(n)
     x0[0::2] = -1.2
-    return Problem("gen_rosenbrock", n, f, g, x0, f_opt_hint=0.0)
+    return Problem("gen_rosenbrock", n, f, g, x0)
 
 
 def _ext_powell(n: int) -> Problem:
@@ -129,7 +128,7 @@ def _ext_powell(n: int) -> Problem:
 
     x0 = np.empty(n)
     x0[0::4], x0[1::4], x0[2::4], x0[3::4] = 3.0, -1.0, 0.0, 1.0
-    return Problem("ext_powell", n, f, g, x0, f_opt_hint=0.0)
+    return Problem("ext_powell", n, f, g, x0)
 
 
 def _trigonometric(n: int) -> Problem:
@@ -150,7 +149,7 @@ def _trigonometric(n: int) -> Problem:
         # dr_i/dx_j = sin(x_j) + delta_ij * (i*sin(x_i) - cos(x_i))
         return 2.0 * (np.sin(x) * np.sum(r) + r * (idx * np.sin(x) - np.cos(x)))
 
-    return Problem("trigonometric", n, f, g, np.full(n, 1.0 / n), f_opt_hint=0.0)
+    return Problem("trigonometric", n, f, g, np.full(n, 1.0 / n))
 
 
 def _penalty(n: int, a: float = 1e-5) -> Problem:
@@ -189,7 +188,7 @@ def _penalty(n: int, a: float = 1e-5) -> Problem:
         out += 4.0 * rC * x
         return out
 
-    return Problem("penalty", n, f, g, np.full(n, 0.5), f_opt_hint=0.0)
+    return Problem("penalty", n, f, g, np.full(n, 0.5))
 
 
 def _cosine_mixture(n: int) -> Problem:
@@ -201,7 +200,7 @@ def _cosine_mixture(n: int) -> Problem:
     def g(x):
         return 2.0 * x + 0.5 * np.pi * np.sin(5.0 * np.pi * x)
 
-    return Problem("cosine_mixture", n, f, g, np.full(n, 0.3), f_opt_hint=-0.1 * n)
+    return Problem("cosine_mixture", n, f, g, np.full(n, 0.3))
 
 
 def _broyden_tridiag(n: int) -> Problem:
@@ -222,7 +221,7 @@ def _broyden_tridiag(n: int) -> Problem:
         out[1:] -= 4.0 * r[:-1]
         return out
 
-    return Problem("broyden_tridiag", n, f, g, -np.ones(n), f_opt_hint=0.0)
+    return Problem("broyden_tridiag", n, f, g, -np.ones(n))
 
 
 def _arwhead(n: int) -> Problem:
@@ -241,7 +240,7 @@ def _arwhead(n: int) -> Problem:
         out[-1] = 4.0 * x[-1] * np.sum(t)
         return out
 
-    return Problem("arwhead", n, f, g, np.ones(n), f_opt_hint=0.0)
+    return Problem("arwhead", n, f, g, np.ones(n))
 
 
 def _dqrtic(n: int) -> Problem:
@@ -258,7 +257,7 @@ def _dqrtic(n: int) -> Problem:
     def g(x):
         return 4.0 * (x - idx) ** 3
 
-    return Problem("dqrtic", n, f, g, 2.0 * np.ones(n), f_opt_hint=0.0)
+    return Problem("dqrtic", n, f, g, 2.0 * np.ones(n))
 
 
 _FACTORIES: dict[str, Callable[..., Problem]] = {

@@ -91,7 +91,8 @@ def solve_upper(U: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     flipped, which is the same matrix to LAPACK without a copy; solving the
     untransposed system instead would run another BLAS path and could move
     round-off.  ``b`` may be a vector or a matrix.  Raises ``LinAlgError``
-    when a diagonal entry of U is exactly zero.
+    when a diagonal entry of U is exactly zero.  Only U's upper triangle is
+    read, in any layout; build_inverse passes ``S^T Y`` for its triangle T.
     """
     if U.flags.f_contiguous:
         x, info = dtrtrs(U, b, lower=0, trans=trans)
@@ -122,24 +123,37 @@ def psi_gram(buffer: PairBuffer, gamma: float) -> np.ndarray:
     return A
 
 
+def normalize_gram(G: np.ndarray):
+    """``(G / dd, d, dd)``: a Gram over ``dd = d d^T`` (both exactly symmetric), d its column norms."""
+    d = np.sqrt(G.diagonal())
+    # Zero columns cannot occur (acceptance forces s, y nonzero), but guard
+    # the division so a degenerate buffer fails loudly later, not here.
+    d = np.where(d > 0, d, 1.0)
+    dd = d[:, None] * d
+    return G / dd, d, dd
+
+
 def build_middle(buffer: PairBuffer, gamma: float) -> np.ndarray:
     """Invert the small bracket matrix of the compact representation.
 
     Returns ``M = -[[gamma*S^T S, L], [L^T, -D]]^{-1}`` where L is the strictly
-    lower and D the diagonal part of ``S^T Y``.  The bracket is invertible
-    whenever every stored pair has positive curvature, which the buffer
-    guarantees; numpy's ``LinAlgError`` is raised when it is singular or its
-    computed inverse is not finite.
+    lower and D the diagonal part of ``S^T Y``, both taken from the stored
+    block on each call.  The bracket is invertible whenever every stored pair
+    has positive curvature, which the buffer guarantees; numpy's
+    ``LinAlgError`` is raised when it is singular or its computed inverse is
+    not finite.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    L, D, _ = buffer.triangular_views()
     k = buffer.count
+    SY = buffer.gram_SY
+    L = np.where(buffer.strict_lower(k), SY, 0.0)
     bracket = np.empty((2 * k, 2 * k))
     bracket[:k, :k] = gamma * buffer.gram_SS
     bracket[:k, k:] = L
     bracket[k:, :k] = L.T
-    bracket[k:, k:] = -D
+    # -D carries -0.0 off its diagonal; signed zeros reach inv and eigh.
+    bracket[k:, k:] = -np.diag(SY.diagonal())
     M = -np.linalg.inv(bracket)
     if not np.isfinite(M).all():
         raise np.linalg.LinAlgError("bracket of the compact representation is numerically singular")
@@ -167,15 +181,7 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
     zero_tol = 1e-12 * max(1.0, abs(gamma))
     rank, piv, d = 0, np.empty(0, dtype=int), np.empty(0)
     if buffer.count:
-        A = psi_gram(buffer, gamma)
-        d = np.sqrt(A.diagonal())
-        # Zero columns cannot occur (acceptance forces s, y nonzero), but guard
-        # the division so a degenerate buffer fails loudly later, not here.
-        d = np.where(d > 0, d, 1.0)
-        dd = d[:, None] * d
-        # A and dd are exactly symmetric, so An is too; dpstrf reads its
-        # upper triangle only.
-        An = A / dd
+        An, d, dd = normalize_gram(psi_gram(buffer, gamma))  # dpstrf reads its upper triangle
         c, piv, rank, info = dpstrf(An, tol=EPS_R, lower=0)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpstrf")

@@ -12,7 +12,8 @@ function and gradient evaluation counts, the rejected pairs, and
 ``max_gamma.hex()`` and ``max_gamma_perp.hex()``, so two checkouts solve
 identically exactly when their outputs are equal (``diff before.txt
 after.txt``).  Step counts move with round-off, so a comparison is only
-meaningful with one BLAS thread on both sides.
+meaningful with one BLAS thread on both sides: run as a script, it exits
+with status 2 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is 1.
 ``--sizes`` picks the registry sizes and ``--no-large`` drops the two large
 solves.  ``--keep-trace`` solves with a trace, which takes the shape-changing
 norm of every step and so the factorization of every pair state; its output
@@ -23,6 +24,8 @@ pytest does not collect this file; ``test_driver.py`` runs it at n = 20.
 
 import argparse
 import hashlib
+import os
+import sys
 
 import trlbfgs as t
 from trlbfgs.bench import parse_solver_spec
@@ -66,4 +69,11 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
+    if "1" not in (os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS")):
+        print(
+            "fingerprint.py: set OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1);"
+            " step counts move with the BLAS thread count",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     main()

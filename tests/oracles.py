@@ -93,8 +93,13 @@ def fill_buffer(rng, n, count, m=None, pairs=None):
     return buf
 
 
-def scipy_inverse_middle(buffer, gamma, gamma_perp):
-    """``M_hat`` of ``build_inverse`` through scipy's wrappers and numpy's assembly helpers."""
+def scipy_inverse_middle(buffer, gamma, gamma_perp, gram_pinv=False):
+    """``M_hat`` of ``build_inverse`` through scipy's wrappers and numpy's assembly helpers.
+
+    With ``gram_pinv`` the ``alpha`` term takes the thresholded inverse of
+    the column-normalized ``V^T V``, as ``build_inverse`` does when
+    ``dpotrf`` finds it not positive definite.
+    """
     k = buffer.count
     SY = buffer.gram_SY
     T = np.triu(SY)
@@ -107,8 +112,13 @@ def scipy_inverse_middle(buffer, gamma, gamma_perp):
     M_hat = np.block([[A11, -Tinv.T / gamma], [-Tinv / gamma, np.zeros((k, k))]])
     alpha = 1.0 / gamma - 1.0 / gamma_perp
     VtV = np.block([[buffer.gram_SS, SY], [SY.T, buffer.gram_YY]])
-    if alpha != 0.0:
-        # Only for a positive definite V^T V; build_inverse's fallback is not mirrored.
+    if alpha != 0.0 and gram_pinv:
+        d = np.sqrt(np.diag(VtV))
+        w, Q = np.linalg.eigh(VtV / np.outer(d, d))
+        keep = w > t.spectral.EPS_R
+        Qk = Q[:, keep] / d[:, None]
+        M_hat += alpha * ((Qk / w[keep]) @ Qk.T)
+    elif alpha != 0.0:
         R = cholesky(VtV, lower=False)
         Rinv = solve_triangular(R, np.eye(2 * k), lower=False)
         M_hat += alpha * (Rinv @ Rinv.T)

@@ -107,6 +107,15 @@ def test_run_records_unset_thread_variables_as_null(tmp_path, monkeypatch):
     }
 
 
+def test_run_defaults_are_the_solver_config_defaults(tmp_path, monkeypatch):
+    # bench restates no SolverConfig default: a bare run solves SolverConfig()
+    # and its conventional variant, under the usual solver ids.
+    seen = []
+    monkeypatch.setattr(bench, "run_suite", lambda configs, problems, **_: seen.extend(configs) or [])
+    assert main(["run", "--out", str(tmp_path)]) == 0
+    assert seen == [(DENSE_ID, SolverConfig()), ("conventional", SolverConfig(conventional=True))]
+
+
 @pytest.mark.parametrize(
     "spec,expected",
     [

@@ -10,6 +10,7 @@ from oracles import (
     explicit_P_par,
     fill_buffer,
     quadratic_pairs,
+    random_pairs,
     scipy_inverse_middle,
 )
 
@@ -73,6 +74,30 @@ def test_build_inverse_matches_the_scipy_wrappers_bitwise(count, gamma, gamma_pe
     assert np.array_equal(inv.M_hat, scipy_inverse_middle(buf, gamma, gamma_perp))
     VtV = np.block([[buf.gram_SS, buf.gram_SY], [buf.gram_SY.T, buf.gram_YY]])
     assert np.array_equal(inv.VtV, VtV)
+
+
+@pytest.mark.parametrize("path", ["dpotrf", "gram_pinv"])
+def test_build_inverse_matches_the_split_formulas_at_every_count(monkeypatch, path):
+    # build_inverse hands the stored S^T Y block to dtrtrs whole and adds
+    # its diagonal to Y^T Y / gamma in place.  The result must be bitwise
+    # that of np.triu and np.diag at every count from 1 to m and after
+    # evictions, with unequal scales on either path of the alpha term.
+    fallbacks = []
+    real = denseinit._gram_pinv
+    monkeypatch.setattr(denseinit, "_gram_pinv", lambda G: fallbacks.append(G.shape) or real(G))
+    if path == "gram_pinv":
+        # dpotrf reports V^T V not positive definite, as at n >= 10^5.
+        monkeypatch.setattr(denseinit, "dpotrf", lambda G, lower, clean: (G, 1))
+    rng = np.random.default_rng(34)
+    n, m = 11, 4
+    buf = t.PairBuffer(n, m)
+    for s, y in random_pairs(rng, n, 2 * m + 1):
+        assert buf.try_push(s, y)
+        for gamma, gamma_perp in [(1.3, 4.0), (4.0, 1.3)]:
+            got = t.build_inverse(buf, gamma, gamma_perp).M_hat
+            want = scipy_inverse_middle(buf, gamma, gamma_perp, gram_pinv=path == "gram_pinv")
+            assert got.tobytes() == want.tobytes()
+    assert len(fallbacks) == (2 * (2 * m + 1) if path == "gram_pinv" else 0)
 
 
 def test_collinear_duplicate_pairs_reach_the_gram_fallback(monkeypatch):

@@ -1,5 +1,8 @@
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import threading
 import weakref
 from pathlib import Path
@@ -35,7 +38,6 @@ def sphere(n):
         lambda x: 0.5 * float(x @ x),
         lambda x: np.asarray(x, dtype=float),
         np.ones(n),
-        f_opt_hint=0.0,
     )
 
 
@@ -344,6 +346,31 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == first
     assert len(first) == len(t.PROBLEM_NAMES) * len(fingerprint.SPECS) == 44
     assert all(len(line.split()) == 13 for line in first)
+
+
+@pytest.mark.parametrize(
+    "threads,code",
+    [({}, 2), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "1"}, 0)],
+    ids=["unset", "two", "one"],
+)
+def test_fingerprint_script_runs_only_with_one_blas_thread(threads, code):
+    # Step counts move with the BLAS thread count, so run as a script the
+    # sweep refuses to print a fingerprint that another host could not match.
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(t.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, fingerprint.__file__, "--sizes", "20", "--no-large"],
+        capture_output=True,
+        text=True,
+        env={**env, **threads},
+        timeout=300,
+    )
+    assert proc.returncode == code
+    if code:
+        assert "OPENBLAS_NUM_THREADS=1" in proc.stderr and proc.stdout == ""
+    else:
+        assert len(proc.stdout.splitlines()) == len(t.PROBLEM_NAMES) * len(fingerprint.SPECS)
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])

@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 
-import trlbfgs as t
 from trlbfgs import PairBuffer, pairs
 
 from oracles import C3, fill_buffer, random_pairs
@@ -135,80 +134,6 @@ def test_stored_pairs_satisfy_acceptance_strictly():
     for sy, ss, yy in zip(np.diag(buf.gram_SY), np.diag(buf.gram_SS), np.diag(buf.gram_YY)):
         assert sy > C3 * np.sqrt(ss) * np.sqrt(yy)
         assert ss > 0 and yy > 0
-
-
-def test_triangular_views_single_pair():
-    buf = PairBuffer(2, 2)
-    buf.try_push([1.0, 0.0], [2.0, 0.0])
-    L, D, T = buf.triangular_views()
-    assert np.array_equal(L, [[0.0]])
-    assert np.array_equal(D, [[2.0]])
-    assert np.array_equal(T, [[2.0]])
-
-
-def test_triangular_views_two_pairs():
-    # engineered so S^T Y = [[2, 5], [3, 7]]
-    buf = PairBuffer(2, 2)
-    assert buf.try_push([1.0, 0.0], [2.0, 3.0])
-    assert buf.try_push([0.0, 1.0], [5.0, 7.0])
-    assert np.allclose(buf.gram_SY, [[2.0, 5.0], [3.0, 7.0]])
-    L, D, T = buf.triangular_views()
-    assert np.array_equal(L, [[0.0, 0.0], [3.0, 0.0]])
-    assert np.array_equal(D, np.diag([2.0, 7.0]))
-    assert np.array_equal(T, [[2.0, 5.0], [0.0, 7.0]])
-
-
-def test_triangular_views_reassemble_exactly():
-    rng = np.random.default_rng(17)
-    buf = fill_buffer(rng, 12, 5)
-    L, D, T = buf.triangular_views()
-    assert np.array_equal(L + D + (T - D), buf.gram_SY)
-    assert np.all(np.diag(T) > 0)
-
-
-def test_triangular_views_match_the_numpy_helpers_bitwise():
-    # Same entries, +0.0 elsewhere (so -D keeps its signed zeros), and
-    # C order, which decides the branch of solve_upper downstream; for
-    # every count, through evictions.
-    rng = np.random.default_rng(18)
-    buf = PairBuffer(12, 3)
-    for s, y in random_pairs(rng, 12, 6):
-        assert buf.try_push(s, y)
-        SY = np.array(buf.gram_SY)
-        want = (np.tril(SY, -1), np.diag(np.diag(SY)), np.triu(SY))
-        for got, ref in zip(buf.triangular_views(), want):
-            assert got.flags.c_contiguous
-            assert got.tobytes() == ref.tobytes()
-
-
-def test_triangular_split_runs_once_per_push(monkeypatch):
-    # build_middle (inside factorize) and build_inverse share one split of
-    # S^T Y per accepted pair; a push makes the next request split afresh.
-    splits = 0
-    real = PairBuffer._split
-
-    def counting(self):
-        nonlocal splits
-        splits += 1
-        return real(self)
-
-    monkeypatch.setattr(PairBuffer, "_split", counting)
-    rng = np.random.default_rng(19)
-    buf = PairBuffer(8, 3)
-    for pushes, (s, y) in enumerate(random_pairs(rng, 8, 5), start=1):
-        assert buf.try_push(s, y)
-        t.factorize(buf, 1.3)
-        t.build_inverse(buf, 1.3, 2.0)
-        assert splits == pushes
-        L, D, T = buf.triangular_views()
-        assert T.tobytes() == np.triu(buf.gram_SY).tobytes()
-        assert not (L.flags.writeable or D.flags.writeable or T.flags.writeable)
-    assert splits == 5
-
-
-def test_triangular_views_empty_buffer_raises():
-    with pytest.raises(ValueError):
-        PairBuffer(3, 2).triangular_views()
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -37,7 +37,6 @@ def test_quad_diag_default_spectrum():
     # A = diag(1..n): f(ones) = (1+2+3+4+5)/2
     assert prob.eval_f(np.ones(5)) == pytest.approx(7.5)
     assert np.allclose(prob.eval_g(np.ones(5)), [1, 2, 3, 4, 5])
-    assert prob.f_opt_hint == 0.0
     assert prob.eval_f(np.zeros(5)) == 0.0
 
 
@@ -59,7 +58,6 @@ def test_penalty_minimum_is_zero():
 
 def test_cosine_mixture_optimum_hint():
     prob = t.get("cosine_mixture", 7)
-    assert prob.f_opt_hint == pytest.approx(-0.7)
     assert prob.eval_f(np.zeros(7)) == pytest.approx(-0.7)
     assert np.allclose(prob.eval_g(np.zeros(7)), 0.0)
 

@@ -11,6 +11,7 @@ from oracles import (
     dense_compact,
     explicit_P_par,
     fill_buffer,
+    random_pairs,
 )
 
 
@@ -35,6 +36,32 @@ def test_build_middle_single_pair_is_diagonal_any_gamma():
 def test_build_middle_rejects_nonpositive_gamma():
     with pytest.raises(ValueError):
         t.build_middle(single_pair_buffer(), gamma=0.0)
+
+
+def test_build_middle_of_no_pairs_is_empty():
+    # As build_inverse's M_hat: no stored pair, no low-rank part.
+    assert t.build_middle(t.PairBuffer(3, 2), gamma=1.0).shape == (0, 0)
+
+
+def test_build_middle_matches_the_split_formulas_at_every_count(monkeypatch):
+    # build_middle splits S^T Y itself.  Its bracket, with the -0.0 that -D
+    # has off its diagonal, and its result must be bitwise those of
+    # np.tril(., -1) and np.diag at every count from 1 to m and after evictions.
+    brackets = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: brackets.append(a.copy()) or real_inv(a))
+    rng = np.random.default_rng(35)
+    n, m, gamma = 11, 4, 1.7
+    buf = t.PairBuffer(n, m)
+    for s, y in random_pairs(rng, n, 2 * m + 1):
+        assert buf.try_push(s, y)
+        SY = buf.gram_SY
+        L, D = np.tril(SY, -1), np.diag(np.diag(SY))
+        bracket = np.block([[gamma * buf.gram_SS, L], [L.T, -D]])
+        M = -real_inv(bracket)
+        got = t.build_middle(buf, gamma)
+        assert brackets.pop().tobytes() == bracket.tobytes()
+        assert got.tobytes() == (0.5 * (M + M.T)).tobytes()
 
 
 def test_compact_representation_matches_dense_recursion():
@@ -62,6 +89,32 @@ def test_solve_upper_matches_solve_triangular_bitwise(order, trans, size, column
     got = solve_upper(U, b, trans)
     assert np.array_equal(got, solve_triangular(U, b, trans=trans, lower=False))
     assert got.shape == b.shape
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "corner"])
+@pytest.mark.parametrize("trans", [0, 1])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_solve_upper_ignores_the_strictly_lower_triangle_bitwise(layout, trans, k):
+    # build_inverse passes the stored S^T Y block for its upper triangle T.
+    # "corner" is the leading k-by-k corner of a C-ordered 5-by-5 array, as
+    # PairBuffer.gram_SY is below capacity: neither C- nor F-contiguous for k < 5.
+    rng = np.random.default_rng(10 * k + trans)
+    T = np.triu(rng.standard_normal((k, k))) + k * np.eye(k)
+    b = rng.standard_normal((k, 3))
+
+    def laid_out(A):
+        if layout == "corner":
+            block = rng.standard_normal((5, 5))
+            block[:k, :k] = A
+            return block[:k, :k]
+        return np.asarray(A, order=layout)
+
+    filled = laid_out(T + np.tril(1e3 * rng.standard_normal((k, k)), -1))
+    want = solve_upper(laid_out(T), b, trans)
+    assert solve_upper(filled, b, trans).tobytes() == want.tobytes()
+    if layout == "corner":
+        # ... and to the C-ordered triangle that np.triu returns.
+        assert want.tobytes() == solve_upper(np.ascontiguousarray(T), b, trans).tobytes()
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

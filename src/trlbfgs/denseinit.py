@@ -3,8 +3,9 @@
 The initialization assigns the newest pair's ``gamma = y^T y / s^T y`` to
 the subspace where curvature has been observed and a more conservative scale
 ``gamma_perp = lam*c*gamma_max + (1 - lam)*gamma`` (``perp_scale``, with
-``gamma_max`` the largest pair gamma so far) to its orthogonal complement;
-both are ``GAMMA0_PERP`` while no pair is stored.  Products with the inverse
+``gamma_max`` the largest pair gamma so far) to its orthogonal complement.
+Everything here needs at least one stored pair; before the first, the
+driver takes B as a multiple of the identity.  Products with the inverse
 of the resulting quasi-Newton matrix use a compact representation built from
 ``V = [S, Y]`` and cost O(m n); the norm of the full quasi-Newton step is
 available in O(m^2) without forming the step itself.  The representation
@@ -33,9 +34,6 @@ from .pairs import PairBuffer
 from .spectral import EPS_R, normalize_gram, psi_gram, solve_upper
 
 __all__ = ["InverseRep", "perp_scale", "build_inverse", "unconstrained_step", "unconstrained_norm"]
-
-# Both scales while no pair is stored.
-GAMMA0_PERP = 1.0
 
 
 def perp_scale(c: float, lam: float, gamma: float, gamma_max: float) -> float:
@@ -77,14 +75,11 @@ def build_inverse(buffer: PairBuffer, gamma: float, gamma_perp: float) -> Invers
     the cheap one: about 5 us a call on a 10-by-10 Gram, against 34 to 44 us
     for ``_gram_pinv``'s eigendecomposition.
     """
-    if gamma_perp <= 0.0:
-        raise ValueError(f"gamma_perp must be positive, got {gamma_perp}")
     k = buffer.count
     if k == 0:
-        empty = np.empty((0, 0))
-        return InverseRep(M_hat=empty, VtV=empty, gamma_perp=float(gamma_perp))
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+        raise ValueError("no pair is stored")
+    if gamma <= 0.0 or gamma_perp <= 0.0:
+        raise ValueError(f"gamma and gamma_perp must be positive, got {gamma} and {gamma_perp}")
     # T^{-T} (D + gamma^{-1} Y^T Y) T^{-1} via two triangular solves, with D
     # the diagonal of S^T Y, added in place.
     SY = buffer.gram_SY
@@ -140,8 +135,6 @@ def _gram_pinv(G: np.ndarray) -> np.ndarray:
 
 def unconstrained_step(inv: InverseRep, buffer: PairBuffer, g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Full quasi-Newton step ``-B^{-1} g`` in O(m n), given ``w = M_hat V^T g``."""
-    if buffer.count == 0:
-        return -g / inv.gamma_perp
     k = buffer.count
     return -(g / inv.gamma_perp + buffer.S @ w[:k] + buffer.Y @ w[k:])
 
@@ -154,7 +147,5 @@ def unconstrained_norm(inv: InverseRep, gg: float, u: np.ndarray, w: np.ndarray)
     ``gg/gamma_perp^2 + (2/gamma_perp) u^T w + w^T (V^T V) w``; only
     small-matrix products remain.
     """
-    if u.size == 0:
-        return math.sqrt(gg) / inv.gamma_perp
     val = gg / inv.gamma_perp**2 + 2.0 / inv.gamma_perp * float(u @ w) + float(w @ (inv.VtV @ w))
     return math.sqrt(max(0.0, val))

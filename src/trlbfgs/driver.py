@@ -12,12 +12,13 @@ depends only on the stored pairs is refreshed when a pair is accepted: the
 scales gamma and gamma_perp and the compact inverse at once, because the
 cheap test of every step reads them, and the spectral factorization on its
 first need, because only the constrained solve and the shape-changing norm
-read it.  gamma comes from the newest pair's Gram entries, and its one
-running maximum is both the formula's ``gamma_max`` and the result's
-``max_gamma``.  What depends on the gradient as well, ``g^T g`` and
-``V^T g``, is formed once per accepted step and reused by every rejected
-step that follows; the trial point ``x + p`` is formed once and becomes x on
-acceptance.  A run whose radius falls below the resolution of x,
+read it.  Until the first pair is stored B is ``GAMMA0_PERP*I``, and the
+step and its norm are taken without either.  gamma comes from the newest
+pair's Gram entries, and its one running maximum is both the formula's
+``gamma_max`` and the result's ``max_gamma``.  What depends on the gradient
+as well, ``g^T g`` and ``V^T g``, is formed once per accepted step and
+reused by every rejected step that follows; the trial point ``x + p`` is
+formed once and becomes x on acceptance.  A run whose radius falls below the resolution of x,
 ``eps*max(1, ||x||)``, stops with status ``stalled``.
 
 The radius update reads a step's shape-changing norm only when ``rho <
@@ -45,12 +46,13 @@ The trust-region constants are fixed, because every caller uses one value:
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .denseinit import GAMMA0_PERP, InverseRep, build_inverse, perp_scale, unconstrained_norm, unconstrained_step
+from .denseinit import InverseRep, build_inverse, perp_scale, unconstrained_norm, unconstrained_step
 from .pairs import PairBuffer
 from .spectral import SpectralFactorization, apply_P_par_T, factorize, perp_norm_sq, sc_norm
 from .subproblem import assemble_step, model_reduction, solve_parallel, solve_perp_beta
@@ -75,6 +77,8 @@ STATUS_STALLED = "stalled"
 TAU1, TAU2, TAU3 = 0.0, 0.25, 0.75
 ETA1, ETA2, ETA3, ETA4 = 0.25, 0.5, 0.8, 2.0
 DELTA0 = 1.0
+# Both scales while no pair is stored, when B is GAMMA0_PERP*I.
+GAMMA0_PERP = 1.0
 # Sufficient-decrease constant and halving budget of the initial backtracking search.
 ARMIJO = 1e-4
 MAX_HALVINGS = 50
@@ -110,15 +114,16 @@ class SolverConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
+        for name in ("m", "max_iter"):
+            value = getattr(self, name)
+            # bool is an Integral; 2.5 and NaN are not.
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         # Each check is written so that NaN fails it.
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (math.isfinite(self.c) and self.c >= 1 and 0 <= self.lam <= 1):
             raise ValueError(f"need finite c >= 1 and lambda in [0, 1], got c={self.c}, lambda={self.lam}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -190,25 +195,16 @@ def radius_update(rho: float, step_norm: float, delta: float) -> float:
     return delta
 
 
-def initial_point_step(
-    problem,
-    x0,
-    f0: float | None = None,
-    g0: np.ndarray | None = None,
-) -> InitialStep:
+def initial_point_step(problem, x0, f0: float, g0: np.ndarray) -> InitialStep:
     """Backtracking step along the normalized steepest-descent direction.
 
     Halves the step from t = 1, at most ``MAX_HALVINGS`` times, until
     ``f(x0 + t*d) <= f0 - ARMIJO*t*||g0||`` holds, producing the point that
-    seeds the first curvature pair.
-    ``f0``/``g0`` may carry already-computed values at ``x0``; the returned
-    ``f_evals`` counts only the trial evaluations performed here.
+    seeds the first curvature pair.  ``f0`` and ``g0`` are f and g at
+    ``x0``; the returned ``f_evals`` counts only the trial evaluations
+    performed here.
     """
     x0 = np.asarray(x0, dtype=float)
-    if f0 is None:
-        f0 = float(problem.eval_f(x0))
-    if g0 is None:
-        g0 = np.asarray(problem.eval_g(x0), dtype=float)
     gnorm = float(np.linalg.norm(g0))
     if gnorm == 0.0:
         raise ValueError("initial gradient is zero; no descent direction exists")
@@ -228,10 +224,28 @@ def initial_point_step(
     )
 
 
+def _identity_step(g: np.ndarray, gg: float, delta: float, gamma0: float) -> StepChoice:
+    """Trial step for ``B = gamma0*I``, the matrix while no pair is stored.
+
+    The full step ``-g/gamma0`` when its two-norm fits the radius, else the
+    radial solve's ``beta*g`` on the boundary.  With no stored pair the
+    whole space is the perpendicular block, so that solve and its model
+    value are the subproblem's with an empty parallel block.
+    """
+    g_norm = math.sqrt(gg)
+    full_norm = g_norm / gamma0
+    if full_norm <= delta:
+        p = -g / gamma0
+        return StepChoice(p, True, 0.5 * float(g @ p), full_norm)
+    beta = solve_perp_beta(gamma0, g_norm, delta)
+    empty = np.empty(0)
+    return StepChoice(beta * g, False, model_reduction(empty, beta, empty, g_norm, empty, gamma0), full_norm)
+
+
 def step_selection(
     buffer: PairBuffer,
     factors: Callable[[], SpectralFactorization],
-    inv: InverseRep,
+    inv: InverseRep | None,
     g: np.ndarray,
     u: np.ndarray,
     gg: float,
@@ -249,8 +263,11 @@ def step_selection(
     branch applies ``gamma_perp``.  ``u = V^T g`` and ``gg = g^T g`` serve
     both branches and change only with g or the pairs, so the caller forms
     them once per accepted step; ``w = M_hat u`` is formed here once and
-    serves both the norm test and the full step.
+    serves both the norm test and the full step.  While no pair is stored
+    B is ``GAMMA0_PERP*I``, and ``inv``, ``factors`` and ``u`` go unread.
     """
+    if not buffer.count:
+        return _identity_step(g, gg, delta, GAMMA0_PERP)
     w = inv.M_hat @ u
     pu_norm = unconstrained_norm(inv, gg, u, w)
     if pu_norm <= delta:
@@ -363,11 +380,12 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
                 gamma = float(buffer.gram_YY[-1, -1]) / float(buffer.gram_SY[-1, -1])
                 max_gamma = max(max_gamma, gamma)
                 gamma_perp = gamma if config.conventional else perp_scale(config.c, config.lam, gamma, max_gamma)
+                inv = build_inverse(buffer, gamma, gamma_perp if config.dense_everywhere else gamma)
             else:
                 gamma = gamma_perp = GAMMA0_PERP
+                inv = None
             max_gamma_perp = max(max_gamma_perp, gamma_perp)
             fac = None
-            inv = build_inverse(buffer, gamma, gamma_perp if config.dense_everywhere else gamma)
             factors_stale = False
         if u is None:
             u = buffer.vt_dot(g)
@@ -394,14 +412,15 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
         # rho >= TAU3 and the norm reaches ETA3*delta.  Below that reach a
         # full step's two-norm, which bounds its shape-changing norm, leaves
         # the radius where the shape-changing norm would.  The norm is taken
-        # before an accepted pair changes the factorization.
+        # before an accepted pair changes the factorization.  With no pair
+        # stored the shape-changing norm is the two-norm.
         if (
             config.keep_trace
             or not used_unconstrained
             or rho < TAU2
             or (rho >= TAU3 and full_norm >= ETA3 * delta)
         ):
-            step_norm = sc_norm(p, factors(), buffer)
+            step_norm = sc_norm(p, factors(), buffer) if buffer.count else float(np.linalg.norm(p))
         else:
             step_norm = full_norm
 
@@ -438,7 +457,8 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
                     step_type="unconstrained" if used_unconstrained else "constrained",
                     gamma=gamma,
                     gamma_perp=gamma_perp,
-                    rank=fac.rank,
+                    # fac is None only for a step taken with no pair stored.
+                    rank=0 if fac is None else fac.rank,
                     accepted=accepted,
                     f=fx,
                     g_norm=math.sqrt(gg),

@@ -172,33 +172,21 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
     diagonal is small.  The r-by-r core ``R M R^T`` is then
     eigendecomposed; eigenvalues come back ascending.
 
-    An empty buffer yields rank 0 (no parallel subspace); the caller treats
-    B as a plain multiple of the identity.
+    The buffer must hold a pair.  Every column of the normalized Gram has
+    unit norm, so the first pivot is 1 up to round-off and the rank is at
+    least 1.
     """
+    if not buffer.count:
+        raise ValueError("no pair is stored")
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     gamma = float(gamma)
-    zero_tol = 1e-12 * max(1.0, abs(gamma))
-    rank, piv, d = 0, np.empty(0, dtype=int), np.empty(0)
-    if buffer.count:
-        An, d, dd = normalize_gram(psi_gram(buffer, gamma))  # dpstrf reads its upper triangle
-        c, piv, rank, info = dpstrf(An, tol=EPS_R, lower=0)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpstrf")
-        rank = int(rank)
-        piv = np.asarray(piv, dtype=int) - 1  # LAPACK pivots are 1-based
-    if rank == 0:
-        return SpectralFactorization(
-            rank=0,
-            lambdas=np.empty(0),
-            zero_tol=zero_tol,
-            W=np.empty((0, 0)),
-            U1=np.empty((0, 0)),
-            piv=np.empty(0, dtype=int),
-            col_scale=np.empty(0),
-            psi_scale=np.empty(0),
-            gamma=gamma,
-        )
+    An, d, dd = normalize_gram(psi_gram(buffer, gamma))  # dpstrf reads its upper triangle
+    c, piv, rank, info = dpstrf(An, tol=EPS_R, lower=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpstrf")
+    rank = int(rank)
+    piv = np.asarray(piv, dtype=int) - 1  # LAPACK pivots are 1-based
     # r-by-2m' trapezoidal factor, pivoted order; dpstrf leaves the input's
     # values below the diagonal.
     U = np.where(buffer.strict_lower(2 * buffer.count), 0.0, c)[:rank, :]
@@ -211,7 +199,7 @@ def factorize(buffer: PairBuffer, gamma: float) -> SpectralFactorization:
     return SpectralFactorization(
         rank=rank,
         lambdas=lam_hat + gamma,
-        zero_tol=zero_tol,
+        zero_tol=1e-12 * max(1.0, abs(gamma)),
         W=W,
         U1=np.ascontiguousarray(U[:, :rank]),
         piv=kept,
@@ -228,8 +216,6 @@ def apply_P_par_T(fac: SpectralFactorization, u: np.ndarray) -> np.ndarray:
     holds it pays no n-dimensional work here: the retained entries of
     ``Psi^T x`` are those of ``u`` times ``psi_scale``.
     """
-    if fac.rank == 0:
-        return np.empty(0)
     t = u[fac.piv] * fac.psi_scale / fac.col_scale
     q = solve_upper(fac.U1, t, trans=1)
     return fac.W.T @ q
@@ -237,8 +223,6 @@ def apply_P_par_T(fac: SpectralFactorization, u: np.ndarray) -> np.ndarray:
 
 def apply_P_par(fac: SpectralFactorization, buffer: PairBuffer, v: np.ndarray) -> np.ndarray:
     """Map retained-basis coordinates v (length r) back to an n-vector."""
-    if fac.rank == 0:
-        raise ValueError("no parallel subspace: factorization has rank 0")
     v = np.asarray(v, dtype=float)
     if v.shape != (fac.rank,):
         raise ValueError(f"expected coordinate vector of length {fac.rank}, got {v.shape}")
@@ -260,8 +244,6 @@ def perp_norm_sq(xx: float, g_par: np.ndarray) -> float:
 
 def sc_norm(x: np.ndarray, fac: SpectralFactorization, buffer: PairBuffer) -> float:
     """Shape-changing infinity norm ``max(||P_par^T x||_inf, ||P_perp^T x||_2)``."""
-    if fac.rank == 0:
-        return float(np.linalg.norm(x))
     g_par = apply_P_par_T(fac, buffer.vt_dot(x))
     perp = math.sqrt(perp_norm_sq(float(x @ x), g_par))
     return max(float(np.abs(g_par).max()), perp)

@@ -80,8 +80,6 @@ def assemble_step(
     The perpendicular block never appears explicitly; it rides along inside
     ``beta*g`` and is corrected on the retained subspace.
     """
-    if fac.rank == 0:
-        return beta * g
     return beta * g + apply_P_par(fac, buffer, v_par - beta * g_par)
 
 

@@ -4,9 +4,12 @@ Usage, from the root of the repository:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/fingerprint.py > after.txt
 
-The sweep is the registry at n = 20, 200 and 1000 under four solver specs
+The sweep is the registry at n = 20, 200 and 1000 and ``sum(cos x)`` from
+four constant starts (``COSINE_STARTS``), each under four solver specs
 (``SPECS``), plus ``ext_powell`` at n = 10^5 and ``ext_rosenbrock`` at
-n = 10^6: 134 solves.  Each line gives the solve, its status, total steps,
+n = 10^6: 150 solves.  The ``sum(cos x)`` solves reject their seed pair and
+take their first 3 or 4 steps with no pair stored, which no other solve of
+the sweep does.  Each line gives the solve, its status, total steps,
 accepted iterations, ``f_final.hex()``, the sha1 of ``x_final``'s bytes, the
 function and gradient evaluation counts, the rejected pairs, and
 ``max_gamma.hex()`` and ``max_gamma_perp.hex()``, so two checkouts solve
@@ -15,9 +18,10 @@ after.txt``).  Step counts move with round-off, so a comparison is only
 meaningful with one BLAS thread on both sides: run as a script, it exits
 with status 2 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is 1.
 ``--sizes`` picks the registry sizes and ``--no-large`` drops the two large
-solves.  ``--keep-trace`` solves with a trace, which takes the shape-changing
-norm of every step and so the factorization of every pair state; its output
-must equal the output without it.
+solves; the ``sum(cos x)`` solves run in every sweep.  ``--keep-trace``
+solves with a trace, which takes the shape-changing norm of every step and
+so the factorization of every pair state; its output must equal the output
+without it.
 
 pytest does not collect this file; ``test_driver.py`` runs it at n = 20.
 """
@@ -27,32 +31,43 @@ import hashlib
 import os
 import sys
 
+import numpy as np
+
 import trlbfgs as t
 from trlbfgs.bench import parse_solver_spec
 
 SPECS = ("dense", "conventional", "dense:everywhere=false", "dense:c=2,lambda=1")
 SIZES = (20, 200, 1000)
+# (n, x0) of the sum(cos x) solves, each from the constant start x0.
+COSINE_STARTS = ((10, 0.1), (10, 0.05), (50, 0.2), (7, -0.3))
 LARGE = (("ext_powell", 10**5), ("ext_rosenbrock", 10**6))
 
 
+def cosine_sum(n: int, x0: float) -> t.Problem:
+    """``sum(cos x)`` from ``x = x0``; its name carries the start."""
+    return t.Problem(f"cos_sum@{x0}", n, lambda x: float(np.cos(x).sum()), lambda x: -np.sin(x), np.full(n, x0))
+
+
 def solves(sizes=SIZES, large=True):
-    """(spec, problem name, n) of every solve in the sweep, in print order."""
+    """(spec, problem) of every solve in the sweep, in print order, each problem built when reached."""
     for n in sizes:
         for name in t.PROBLEM_NAMES:
             for spec in SPECS:
-                yield spec, name, n
+                yield spec, t.get(name, n)
+    for n, x0 in COSINE_STARTS:
+        for spec in SPECS:
+            yield spec, cosine_sum(n, x0)
     if large:
         for name, n in LARGE:
-            yield "dense", name, n
+            yield "dense", t.get(name, n)
 
 
-def fingerprint(spec: str, name: str, n: int, keep_trace: bool = False) -> str:
+def fingerprint(spec: str, problem: t.Problem, keep_trace: bool = False) -> str:
     _, overrides = parse_solver_spec(spec)
-    problem = t.get(name, n)
     res = t.minimize(problem, problem.x0, t.SolverConfig(**overrides, keep_trace=keep_trace))
     digest = hashlib.sha1(res.x_final.tobytes()).hexdigest()
     return (
-        f"{spec} {name} {n} {res.status} {res.total_steps} {res.iterations} "
+        f"{spec} {problem.name} {problem.n} {res.status} {res.total_steps} {res.iterations} "
         f"{float(res.f_final).hex()} {digest} {res.f_evals} {res.g_evals} {res.pair_rejections} "
         f"{float(res.max_gamma).hex()} {float(res.max_gamma_perp).hex()}"
     )

@@ -49,8 +49,6 @@ def dense_compact(S, Y, gamma):
 
 def explicit_P_par(fac, buffer):
     """Materialize the retained orthonormal basis column by column."""
-    if fac.rank == 0:
-        return np.zeros((buffer.n, 0))
     return np.column_stack(
         [t.apply_P_par(fac, buffer, e) for e in np.eye(fac.rank)]
     )

@@ -138,12 +138,10 @@ def test_inverse_identity_dense():
     assert np.abs(B_hat @ B_hat_inv - np.eye(n)).max() <= 1e-9
 
 
-def test_empty_history_uses_fallback_scale():
-    buf = t.PairBuffer(5, 3)
-    inv = t.build_inverse(buf, gamma=1.0, gamma_perp=2.5)
-    g = np.arange(1.0, 6.0)
-    assert np.allclose(full_step(inv, buf, g), -g / 2.5)
-    assert full_step_norm(inv, buf, g) == pytest.approx(np.linalg.norm(g) / 2.5)
+def test_build_inverse_rejects_an_empty_buffer():
+    # With no pair stored the driver takes B as a multiple of the identity.
+    with pytest.raises(ValueError, match="no pair"):
+        t.build_inverse(t.PairBuffer(5, 3), gamma=1.0, gamma_perp=2.5)
 
 
 def test_quadratic_history_matches_dense_solve():

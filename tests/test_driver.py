@@ -13,12 +13,12 @@ import pytest
 import trlbfgs as t
 import trlbfgs.driver as driver
 import trlbfgs.pairs as pairs
-from trlbfgs.denseinit import GAMMA0_PERP
 from trlbfgs.driver import (
     ETA1,
     ETA2,
     ETA3,
     ETA4,
+    GAMMA0_PERP,
     STATUS_CONVERGED,
     STATUS_FAILED,
     STATUS_MAX_ITER,
@@ -134,6 +134,29 @@ def test_step_selection_constrained_when_radius_shrinks():
     snorm = t.sc_norm(choice.p_star, fac, buf)
     assert snorm <= delta + 1e-10
     assert snorm == pytest.approx(delta, rel=1e-9)
+
+
+def test_step_selection_with_no_pair_stored_takes_the_scaled_identity_step():
+    # With no pair stored B is GAMMA0_PERP*I: the full step -g/GAMMA0_PERP
+    # when it fits, else the steepest-descent step to the boundary.
+    buf = t.PairBuffer(6, 3)
+    g = np.array([0.3, -1.2, 0.5, 2.0, -0.7, 0.1])
+    gg = float(g @ g)
+    g_norm = float(np.linalg.norm(g))
+
+    def no_factors():
+        raise AssertionError("with no pair stored there is nothing to factorize")
+
+    full_norm = g_norm / GAMMA0_PERP
+    for delta in (2.0 * full_norm, full_norm, 0.5 * full_norm, 1e-3):
+        choice = t.step_selection(buf, no_factors, None, g, buf.vt_dot(g), gg, delta, GAMMA0_PERP)
+        fits = full_norm <= delta
+        expected = -g / GAMMA0_PERP if fits else (-delta / g_norm) * g
+        assert choice.p_star.tobytes() == expected.tobytes()
+        assert choice.used_unconstrained == fits
+        assert choice.full_norm == full_norm
+        p = choice.p_star
+        assert choice.model_value == pytest.approx(g @ p + 0.5 * GAMMA0_PERP * (p @ p), rel=1e-14)
 
 
 def test_step_selection_everywhere_toggle_identical_when_scales_equal():
@@ -344,7 +367,7 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
     monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
     fingerprint.main(args)
     assert capsys.readouterr().out.splitlines() == first
-    assert len(first) == len(t.PROBLEM_NAMES) * len(fingerprint.SPECS) == 44
+    assert len(first) == (len(t.PROBLEM_NAMES) + len(fingerprint.COSINE_STARTS)) * len(fingerprint.SPECS) == 60
     assert all(len(line.split()) == 13 for line in first)
 
 
@@ -370,7 +393,7 @@ def test_fingerprint_script_runs_only_with_one_blas_thread(threads, code):
     if code:
         assert "OPENBLAS_NUM_THREADS=1" in proc.stderr and proc.stdout == ""
     else:
-        assert len(proc.stdout.splitlines()) == len(t.PROBLEM_NAMES) * len(fingerprint.SPECS)
+        assert len(proc.stdout.splitlines()) == (len(t.PROBLEM_NAMES) + len(fingerprint.COSINE_STARTS)) * len(fingerprint.SPECS)
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
@@ -446,7 +469,7 @@ def test_initial_step_full_on_quadratic():
     prob = sphere(4)
     x0 = np.zeros(4)
     x0[0] = 1.0
-    step = t.initial_point_step(prob, x0)
+    step = t.initial_point_step(prob, x0, prob.eval_f(x0), prob.eval_g(x0))
     # t = 1 along -g/||g|| lands at the origin
     assert np.abs(step.x1).max() <= 1e-15
     assert step.f_evals == 1
@@ -460,14 +483,14 @@ def test_initial_step_halves_on_cliff():
         return np.array([2.0 * x[0] + 40.0 * x[0] ** 3])
 
     prob = t.Problem("cliff", 1, f, g, np.array([0.5]))
-    step = t.initial_point_step(prob, prob.x0)
+    step = t.initial_point_step(prob, prob.x0, prob.eval_f(prob.x0), prob.eval_g(prob.x0))
     assert step.f_evals == 2  # t = 1 fails (even function), t = 1/2 lands at 0
     assert abs(step.x1[0]) <= 1e-15
 
 
 def test_initial_step_rejects_zero_gradient():
     with pytest.raises(ValueError):
-        t.initial_point_step(sphere(3), np.zeros(3))
+        t.initial_point_step(sphere(3), np.zeros(3), 0.0, np.zeros(3))
 
 
 def test_line_search_failure_is_numerical_failure():
@@ -527,13 +550,7 @@ def test_hypothesis_observables_reported():
 def test_steps_before_the_first_stored_pair_use_the_fallback_scale(conventional):
     # The seed pair of sum(cos(x)) from x = 0.1 has negative curvature and is
     # rejected, so the first steps (3 of 8) are taken with no pair stored.
-    n = 10
-    prob = t.Problem(
-        "cosines", n,
-        lambda x: float(np.cos(x).sum()),
-        lambda x: -np.sin(x),
-        np.full(n, 0.1),
-    )
+    prob = fingerprint.cosine_sum(10, 0.1)
     res = t.minimize(prob, prob.x0, t.SolverConfig(conventional=conventional, keep_trace=True))
     assert res.status == STATUS_CONVERGED
     assert np.abs(res.x_final - np.pi).max() <= 1e-12
@@ -586,6 +603,22 @@ def test_config_validation():
         t.SolverConfig(lam=-0.1)
     with pytest.raises(ValueError):
         t.SolverConfig(lam=1.5)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("m", 2.5), ("m", math.nan), ("m", 0), ("m", True), ("max_iter", 7.5), ("max_iter", 0), ("max_iter", "8")],
+)
+def test_config_rejects_a_count_that_is_not_an_integer_of_at_least_one(field, value):
+    # m = 2.5 used to run with m = 2 and max_iter = 7.5 with 8 steps;
+    # m = nan failed only inside PairBuffer.
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        t.SolverConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = t.SolverConfig(m=np.int64(3), max_iter=np.int32(7))
+    assert (cfg.m, cfg.max_iter) == (3, 7)
 
 
 @pytest.mark.parametrize(

@@ -64,14 +64,6 @@ def test_perp_beta_validates_inputs():
         t.solve_perp_beta(1.0, 1.0, 0.0)
 
 
-def test_assemble_step_rank_zero_scaled_steepest_descent():
-    buf = t.PairBuffer(4, 2)
-    fac = t.factorize(buf, gamma=1.0)
-    g = np.array([1.0, -2.0, 0.5, 3.0])
-    p = t.assemble_step(-0.5, g, np.empty(0), np.empty(0), fac, buf)
-    assert np.allclose(p, -0.5 * g)
-
-
 def test_assemble_step_cancellation():
     rng = np.random.default_rng(40)
     buf = fill_buffer(rng, 10, 3)

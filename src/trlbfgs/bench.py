@@ -25,11 +25,14 @@ count is fixed when numpy loads, so set ``OPENBLAS_NUM_THREADS`` (or
 and the CPUs the process may run on (``nproc``) in the ``meta`` of
 ``records.json``.
 
-A solve at n >= 2^19, in a process that may run on two CPUs or more, runs
-the S half and the Y half of each pass over the stored pairs on two threads
-(see ``trlbfgs.pairs``); with BLAS pinned to one thread each of them calls
+In a process that may run on two CPUs or more, a solve uses two threads in
+two places.  At n >= 2^19 it runs the S half and the Y half of each pass
+over the stored pairs on two threads (see ``trlbfgs.pairs``).  When f and g
+at ``x0`` each take at least ``driver.OVERLAP_MIN_S`` (0.5 ms), it computes
+f at each trial point on a second thread while g is formed there (see
+``trlbfgs.driver``).  With BLAS pinned to one thread each thread calls
 single-threaded BLAS, and the results are bitwise those of the serial path
-that smaller solves take.
+that smaller or cheaper solves take.
 """
 
 import argparse

@@ -28,6 +28,29 @@ the cheap test already gives for the full quasi-Newton step.  So a full
 step whose two-norm decides the radius on its own is not measured in the
 shape-changing norm; a constrained step always is.
 
+When f and g at ``x0``, as ``minimize`` times them, each take at least
+``OVERLAP_MIN_S`` and the process may run on a second CPU, f at each trial
+point runs on the solve's second thread (``pairs.concurrently``) while g is
+formed at the same point on the calling thread.  g is used only if the step
+is accepted; at a rejected step, or where f is not finite, it and any
+exception it raised are dropped, so every result, count and trace is the
+one the serial path gives.  The rule is decided once per solve from a cost
+the solver observes, not from n: at n = 65536 f and g take 0.09 and 0.06 ms
+on ``quad_diag``, but 0.65 and 0.80 ms on ``ext_powell`` at its start and
+3.0 and 3.2 ms at its answer.  On the 2-CPU host that placed the constant,
+a handoff to the second thread took about 0.085 ms and starting that
+thread, once per solve, about 0.2 ms; ``ext_powell`` at n = 10^5 took f(x0)
+in 0.74 to 1.4 ms and g(x0) in 1.4 to 2.3 ms.  So the constant sits at 0.5
+ms, where that solve overlaps and every registry problem at n = 1000
+(microseconds per evaluation) stays serial; at 1 ms the same solve went
+either way.  f, not g, goes to the second thread because g allocates more:
+over 5 solves of ``ext_rosenbrock`` at n = 10^6 in one process, the peak
+RSS read 201.5 MB serial, 213.1 MB with f on the second thread and 220.7 MB
+with g there.  In 10 alternating 40 s ``solverbench`` runs a side,
+``powell-100k`` read a median 19.64 -> 15.60 ms a step (lower in 10 of 10,
+the parent's quartiles 0.72 ms apart), and in 6, ``rosenbrock-1m`` read
+77.35 -> 68.98 ms (6 of 6) with its peak RSS at 202.3 -> 214.0 MB.
+
 The ratio ``rho`` of actual to predicted decrease is computed with both
 shifted by ``10*eps*|f|`` (Conn, Gould & Toint, *Trust-Region Methods*,
 2000, section 17.4.2), so a step whose decrease is below the resolution of
@@ -47,13 +70,15 @@ The trust-region constants are fixed, because every caller uses one value:
 
 import math
 import numbers
+import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .denseinit import InverseRep, build_inverse, perp_scale, unconstrained_norm, unconstrained_step
-from .pairs import PairBuffer
+from . import pairs
+from .pairs import PairBuffer, concurrently
 from .spectral import SpectralFactorization, apply_P_par_T, factorize, perp_norm_sq, sc_norm
 from .subproblem import assemble_step, model_reduction, solve_parallel, solve_perp_beta
 
@@ -82,6 +107,9 @@ GAMMA0_PERP = 1.0
 # Sufficient-decrease constant and halving budget of the initial backtracking search.
 ARMIJO = 1e-4
 MAX_HALVINGS = 50
+# Time that f(x0) and g(x0) must each take before f runs on a second
+# thread while g is formed (see the module docstring).
+OVERLAP_MIN_S = 5e-4
 
 
 class LineSearchError(RuntimeError):
@@ -146,6 +174,8 @@ class SolverResult:
     """Outcome of :func:`minimize`; ``g_norm_final`` is the two-norm of the final gradient.
 
     ``max_gamma`` is the largest ``gamma`` of a stored pair, 0.0 if no pair is stored.
+    ``g_evals`` counts the gradients the method used; a gradient formed at a
+    rejected trial point, beside f on a second thread, is not counted.
     """
 
     x_final: np.ndarray
@@ -224,6 +254,14 @@ def initial_point_step(problem, x0, f0: float, g0: np.ndarray) -> InitialStep:
     )
 
 
+def _captured(fn, x):
+    """``(fn(x) as a float array, None)``, or ``(None, exception)`` if it raises."""
+    try:
+        return np.asarray(fn(x), dtype=float), None
+    except Exception as exc:
+        return None, exc
+
+
 def _identity_step(g: np.ndarray, gg: float, delta: float, gamma0: float) -> StepChoice:
     """Trial step for ``B = gamma0*I``, the matrix while no pair is stored.
 
@@ -289,6 +327,8 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     """Run the trust-region method from ``x0``.
 
     ``problem`` must expose ``eval_f(x) -> float`` and ``eval_g(x) -> array``.
+    The two may run at the same time on two threads, on the same trial
+    point (see the module docstring), so neither may write to its ``x``.
     The first move is a backtracking steepest-descent step that seeds the
     curvature history; every following iteration is a trust-region step.
     The compact inverse is rebuilt after each accepted pair; the spectral
@@ -298,6 +338,12 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     ``numerical_failure`` at the last good iterate; a radius below
     ``eps*max(1, ||x||)`` terminates it with status ``stalled``.
     """
+    # One second thread serves the whole solve (see the pairs docstring).
+    with pairs.one_second_thread():
+        return _minimize(problem, x0, config)
+
+
+def _minimize(problem, x0, config: SolverConfig | None) -> SolverResult:
     config = config if config is not None else SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -323,8 +369,13 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
             trace=trace,
         )
 
+    t0 = time.perf_counter()
     fx = float(problem.eval_f(x))
+    t1 = time.perf_counter()
     g = np.asarray(problem.eval_g(x), dtype=float)
+    # f at each trial point runs on a second thread while g is formed
+    # there, when both evaluations cost well more than a handoff to it.
+    overlap = min(t1 - t0, time.perf_counter() - t1) >= OVERLAP_MIN_S and pairs._usable_cpus() >= 2
     f_evals = g_evals = 1
     if not (math.isfinite(fx) and np.all(np.isfinite(g))):
         return result(STATUS_FAILED, fx, g, 0, 0, f_evals, g_evals)
@@ -397,7 +448,13 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
         )
 
         x_trial = x + p
-        f_trial = float(problem.eval_f(x_trial))
+        if overlap:
+            # (g, exception) at x_trial; used only if the step is accepted.
+            f_trial, g_trial = concurrently(
+                lambda: float(problem.eval_f(x_trial)), lambda: _captured(problem.eval_g, x_trial)
+            )
+        else:
+            f_trial, g_trial = float(problem.eval_f(x_trial)), None
         f_evals += 1
         if not math.isfinite(f_trial):
             status = STATUS_FAILED
@@ -426,21 +483,29 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
 
         accepted = rho >= TAU1
         if accepted:
-            g_new = np.asarray(problem.eval_g(x_trial), dtype=float)
+            if g_trial is None:
+                g_new = np.asarray(problem.eval_g(x_trial), dtype=float)
+            else:
+                g_new, error = g_trial
+                if error is not None:
+                    raise error
             g_evals += 1
-            if not np.isfinite(g_new).all():
+            # A non-finite entry makes the square sum non-finite, so only
+            # then is g scanned; a finite g whose square sum overflows goes on.
+            gg_new = float(g_new @ g_new)
+            if not math.isfinite(gg_new) and not np.isfinite(g_new).all():
                 status = STATUS_FAILED
                 break
             # The refresh at the top of the loop cleared the flag.
             factors_stale = buffer.try_push(p, g_new - g)
-            x, fx, g = x_trial, f_trial, g_new
+            x, fx, g, gg = x_trial, f_trial, g_new, gg_new
             x_norm = math.sqrt(float(x @ x))
-            gg = float(g @ g)
             u = None
             iterations += 1
-        # A rejected trial point must not live on into the next step, where
-        # it would raise the peak memory by one n-vector.
-        del x_trial
+        # A rejected trial point, or the gradient formed there, must not
+        # live on into the next step, where it would raise the peak memory
+        # by one n-vector.
+        del x_trial, g_trial
 
         delta = radius_update(rho, step_norm, delta)
         if not delta >= eps * max(1.0, x_norm):

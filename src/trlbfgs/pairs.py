@@ -16,11 +16,23 @@ calling thread runs its Y half: ``try_push``'s eviction shift, Gram-row
 products and row write per side, and ``vt_dot``'s two gemvs (which also
 serve ``sc_norm``).  Below it, or when the process may run on one CPU
 only, both halves run in series on the calling thread.  Each BLAS call is
-the same single call either way, so every float is the same.  A thread is
-started and joined per split, so none outlives the call that made it.
+the same single call either way, so every float is the same.
+
+``concurrently`` runs the two halves; the driver uses it too, by its own
+rule, to compute f beside g.  ``minimize`` opens a ``one_second_thread``
+block, so one thread, started on first need and joined when the solve
+ends, serves every handoff of a solve (about 0.085 ms a handoff, against
+0.23 to 0.27 ms for a thread started and joined per call, which is what a
+call outside such a block gets).  One thread also means one malloc arena.
+With a thread per call, a thread started just after the last one was
+joined could find that thread's arena not yet released and take a new
+one, and each such arena kept about 11 MB of f's freed temporaries: the
+peak RSS of ``rosenbrock-1m`` read 225.4 MB in 4 of 9 runs instead of
+213.8 MB (202.2 MB serial).  With one thread per solve it read 213.9 to
+214.1 MB in 6 of 6 runs.
 
 The split was measured on one 2-CPU virtual machine only.  There a thread
-start and join costs 0.4 to 0.55 ms, and ``ext_rosenbrock`` at n = 10^6
+start and join then cost 0.4 to 0.55 ms, and ``ext_rosenbrock`` at n = 10^6
 splits 113 times in its 50 steps, so about 1 ms of a step.  With one BLAS
 thread, as ``solverbench`` runs it, the split took that solve's
 ``rosenbrock-1m`` step from a median 80.7 to 72.7 ms (10%, lower in 10 of
@@ -48,9 +60,11 @@ thread here: its products are m-vectors and its shift and row write are in
 place.
 """
 
+import contextlib
+import contextvars
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -68,33 +82,61 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The executor of the open ``one_second_thread`` block, or None outside one.
+_pool = contextvars.ContextVar("second_thread", default=None)
+
+
+@contextlib.contextmanager
+def one_second_thread():
+    """Run every ``concurrently`` call in this block on one second thread.
+
+    The thread is started by the first call that needs it and joined when
+    the block ends, so none outlives the block.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        token = _pool.set(pool)
+        try:
+            yield
+        finally:
+            _pool.reset(token)
+
+
+def concurrently(a, b):
+    """``(a(), b())``, with ``a`` on a second thread while ``b`` runs on this one.
+
+    The second thread is the one of the open ``one_second_thread`` block,
+    or, outside one, a thread started and joined for this call alone.
+    ``a`` runs in a copy of the calling thread's context, so settings kept
+    in context variables, such as ``np.errstate``, govern it as they govern
+    ``b``; the copy has no block open, so a ``concurrently`` inside ``a``
+    starts a thread of its own instead of waiting on its own.  ``a`` has
+    finished before this returns or raises, and an exception from either
+    call is raised here (``b``'s first).  Each caller decides by its own
+    rule whether the overlap pays for the handoff.
+    """
+    pool = _pool.get()
+    if pool is None:
+        with one_second_thread():
+            return concurrently(a, b)
+    context = contextvars.copy_context()
+    context.run(_pool.set, None)
+    future = pool.submit(context.run, a)
+    try:
+        b_result = b()
+    finally:
+        wait((future,))
+    return future.result(), b_result
+
+
 def _in_halves(n: int, s_half, y_half):
     """``(s_half(), y_half())``, with ``s_half`` on a second thread when the pass splits.
 
     A pass splits when ``n >= SPLIT_MIN_N`` and the process may run on two
-    CPUs or more.  The second thread is joined before this returns or
-    raises, and an exception from either half is raised here (the Y half's
-    first).
+    CPUs or more.
     """
     if n < SPLIT_MIN_N or _usable_cpus() < 2:
         return s_half(), y_half()
-    s_out = [None, None]  # (result, exception) of the S half
-
-    def run():
-        try:
-            s_out[0] = s_half()
-        except BaseException as exc:  # re-raised on the calling thread
-            s_out[1] = exc
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    try:
-        y_result = y_half()
-    finally:
-        worker.join()
-    if s_out[1] is not None:
-        raise s_out[1]
-    return s_out[0], y_result
+    return concurrently(s_half, y_half)
 
 
 def _push_row(rows: np.ndarray, new: np.ndarray, k: int, evict: bool, s: np.ndarray, y: np.ndarray):

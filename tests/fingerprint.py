@@ -20,13 +20,18 @@ with status 2 unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is 1.
 ``--sizes`` picks the registry sizes and ``--no-large`` drops the two large
 solves; the ``sum(cos x)`` solves run in every sweep.  ``--keep-trace``
 solves with a trace, which takes the shape-changing norm of every step and
-so the factorization of every pair state; its output must equal the output
-without it.
+so the factorization of every pair state.  Each solve's line is then
+followed by a ``trace`` line with the number of its ``IterationRecord``
+entries and the sha1 of all their fields (floats as ``float.hex``), so the
+check covers ``rho``, ``step_norm``, ``rank`` and ``accepted`` as well.
+Without its ``trace`` lines that output must equal the output without the
+flag.
 
 pytest does not collect this file; ``test_driver.py`` runs it at n = 20.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -62,15 +67,28 @@ def solves(sizes=SIZES, large=True):
             yield "dense", t.get(name, n)
 
 
+def trace_digest(trace) -> str:
+    """sha1 of every field of every record, one line per record, floats as ``float.hex``."""
+    digest = hashlib.sha1()
+    for record in trace:
+        fields = (v.hex() if isinstance(v, float) else str(v) for v in dataclasses.astuple(record))
+        digest.update((" ".join(fields) + "\n").encode())
+    return digest.hexdigest()
+
+
 def fingerprint(spec: str, problem: t.Problem, keep_trace: bool = False) -> str:
+    """The solve's line, and with ``keep_trace`` its ``trace`` line after it."""
     _, overrides = parse_solver_spec(spec)
     res = t.minimize(problem, problem.x0, t.SolverConfig(**overrides, keep_trace=keep_trace))
     digest = hashlib.sha1(res.x_final.tobytes()).hexdigest()
-    return (
+    line = (
         f"{spec} {problem.name} {problem.n} {res.status} {res.total_steps} {res.iterations} "
         f"{float(res.f_final).hex()} {digest} {res.f_evals} {res.g_evals} {res.pair_rejections} "
         f"{float(res.max_gamma).hex()} {float(res.max_gamma_perp).hex()}"
     )
+    if keep_trace:
+        line += f"\ntrace {len(res.trace)} {trace_digest(res.trace)}"
+    return line
 
 
 def main(argv=None) -> None:

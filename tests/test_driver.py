@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import weakref
 from pathlib import Path
 
@@ -39,6 +40,18 @@ def sphere(n):
         lambda x: np.asarray(x, dtype=float),
         np.ones(n),
     )
+
+
+def force_overlap(monkeypatch):
+    """Compute f on a second thread while g is formed at every trial point."""
+    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(driver, "OVERLAP_MIN_S", 0.0)
+
+
+def force_threads(monkeypatch):
+    """Split every pass over the pairs as well."""
+    force_overlap(monkeypatch)
+    monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
 
 
 def test_converges_on_sphere():
@@ -301,29 +314,51 @@ def test_accepted_trial_point_is_the_iterate_its_gradient_is_taken_at():
     assert len(same) == res.g_evals and all(same)
 
 
-def test_no_trial_point_outlives_its_step(monkeypatch):
-    # When a step is selected, the current iterate is the only earlier
-    # argument of eval_f still alive.  A rejected trial point or the seed
-    # point kept any longer would add an n-vector to the peak memory.
+def _most_alive_at_step_selection(monkeypatch, overlap):
+    """Solve ext_powell at n = 40; the most earlier arguments of eval_f and
+    values of eval_g alive when a step is selected, and the eval_g calls."""
     prob = t.get("ext_powell", 40)
     f_args = []
-    most_alive = 0
+    g_values = []
+    most_alive = [0, 0]
     real_select = driver.step_selection
 
     def f(x):
         f_args.append(weakref.ref(x))
         return prob.eval_f(x)
 
+    def g(x):
+        out = prob.eval_g(x)
+        g_values.append(weakref.ref(out))
+        return out
+
     def counting_select(*args, **kwargs):
-        nonlocal most_alive
-        most_alive = max(most_alive, sum(ref() is not None for ref in f_args))
+        for i, refs in enumerate((f_args, g_values)):
+            most_alive[i] = max(most_alive[i], sum(ref() is not None for ref in refs))
         return real_select(*args, **kwargs)
 
     monkeypatch.setattr(driver, "step_selection", counting_select)
-    res = t.minimize(t.Problem("tracked", prob.n, f, prob.eval_g, prob.x0), prob.x0)
+    if overlap:
+        force_overlap(monkeypatch)
+    res = t.minimize(t.Problem("tracked", prob.n, f, g, prob.x0), prob.x0)
     assert res.status == STATUS_CONVERGED
     assert res.iterations < res.total_steps  # some trial points were rejected
-    assert most_alive == 1
+    return most_alive, len(g_values), res
+
+
+def test_no_trial_point_outlives_its_step(monkeypatch):
+    # When a step is selected, the current iterate is the only earlier
+    # argument of eval_f still alive.  A rejected trial point or the seed
+    # point kept any longer would add an n-vector to the peak memory.
+    most_alive, g_calls, res = _most_alive_at_step_selection(monkeypatch, overlap=False)
+    assert most_alive == [1, 1] and g_calls == res.g_evals
+
+
+def test_no_gradient_formed_beside_f_outlives_its_step(monkeypatch):
+    # With f beside g, g is formed at every trial point; a gradient formed
+    # at a rejected one kept any longer would add an n-vector too.
+    most_alive, g_calls, res = _most_alive_at_step_selection(monkeypatch, overlap=True)
+    assert most_alive == [1, 1] and g_calls == 2 + res.total_steps
 
 
 def test_step_selection_reuses_u_and_gg_bitwise():
@@ -356,18 +391,22 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
     # full sweep (n up to 10^6) is run by hand to compare two checkouts.
     # The second sweep keeps a trace, which takes the shape-changing norm
     # of every step and so the factorization of every pair state; the
-    # results must not move.  The third splits every pass over the pairs
-    # across two threads, which must not move them either.
+    # results must not move, and each is followed by its trace's hash.  The
+    # third splits every pass over the pairs across two threads and
+    # computes f on a second thread while g is formed, which must move
+    # neither the results, their evaluation counts nor the traces.
     args = ["--sizes", "20", "--no-large"]
     fingerprint.main(args)
     first = capsys.readouterr().out.splitlines()
     fingerprint.main(args + ["--keep-trace"])
-    assert capsys.readouterr().out.splitlines() == first
-    monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
-    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
-    fingerprint.main(args)
-    assert capsys.readouterr().out.splitlines() == first
+    traced = capsys.readouterr().out.splitlines()
+    assert traced[0::2] == first
+    assert all(line.startswith("trace ") and len(line.split()) == 3 for line in traced[1::2])
+    force_threads(monkeypatch)
+    fingerprint.main(args + ["--keep-trace"])
+    assert capsys.readouterr().out.splitlines() == traced
     assert len(first) == (len(t.PROBLEM_NAMES) + len(fingerprint.COSINE_STARTS)) * len(fingerprint.SPECS) == 60
+    assert len(traced) == 2 * len(first)
     assert all(len(line.split()) == 13 for line in first)
 
 
@@ -396,29 +435,166 @@ def test_fingerprint_script_runs_only_with_one_blas_thread(threads, code):
         assert len(proc.stdout.splitlines()) == (len(t.PROBLEM_NAMES) + len(fingerprint.COSINE_STARTS)) * len(fingerprint.SPECS)
 
 
-@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("raises", ["", "pairs", "f"], ids=["returns", "raises", "f_raises_on_the_worker"])
 def test_no_thread_outlives_a_split_solve(monkeypatch, raises):
-    monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
-    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
+    force_threads(monkeypatch)
     real_dot = np.dot
     calls = [0]
+    f_threads = []
+    dot_threads = set()
 
     def dot(a, b):
         calls[0] += 1
-        if raises and calls[0] > 40:
+        dot_threads.add(threading.current_thread())
+        if raises == "pairs" and calls[0] > 40:
             raise FloatingPointError("a pass over the pairs fails")
         return real_dot(a, b)
 
     monkeypatch.setattr(pairs.np, "dot", dot)
-    prob = t.get("ext_rosenbrock", 20)
+    base = t.get("ext_rosenbrock", 20)
+
+    def f(x):
+        f_threads.append(threading.current_thread())
+        if raises == "f" and len(f_threads) > 10:
+            raise FloatingPointError("f fails on the worker")
+        return base.eval_f(x)
+
+    prob = t.Problem("tracked", base.n, f, base.eval_g, base.x0)
     start = threading.active_count()
     if raises:
-        with pytest.raises(FloatingPointError, match="pairs fails"):
+        with pytest.raises(FloatingPointError, match="fails"):
             t.minimize(prob, prob.x0)
     else:
         assert t.minimize(prob, prob.x0).status == STATUS_CONVERGED
     assert calls[0] > 40
     assert threading.active_count() == start
+    # f(x0) and the seed search run here, every trial point's f on the
+    # worker, and one worker serves every handoff of the solve.
+    here = threading.current_thread()
+    assert f_threads[0] is here and f_threads[-1] is not here
+    workers = {thread for thread in f_threads if thread is not here}
+    assert len(workers) == 1 and dot_threads == workers | {here}
+
+
+def _assert_same_solve(a, b):
+    assert a.x_final.tobytes() == b.x_final.tobytes()
+    assert (a.status, a.total_steps, a.iterations, a.f_final, a.f_evals, a.g_evals) == (
+        b.status, b.total_steps, b.iterations, b.f_final, b.f_evals, b.g_evals
+    )
+    assert a.trace == b.trace
+
+
+def test_overlapped_solve_counts_only_the_gradients_it_uses(monkeypatch):
+    # With f beside g, g is formed at every trial point, rejected ones too,
+    # but g_evals counts only those the method used, as the serial run does.
+    base = t.get("ext_powell", 40)
+    g_calls = []
+    prob = t.Problem("counted", base.n, base.eval_f, lambda x: g_calls.append(x) or base.eval_g(x), base.x0)
+    config = t.SolverConfig(keep_trace=True)
+    serial = t.minimize(prob, prob.x0, config)
+    assert len(g_calls) == serial.g_evals
+    assert serial.iterations < serial.total_steps  # some trial points were rejected
+    g_calls.clear()
+    force_overlap(monkeypatch)
+    overlapped = t.minimize(prob, prob.x0, config)
+    _assert_same_solve(serial, overlapped)
+    # g(x0), g at the seed point, then one per trial step.
+    assert len(g_calls) == 2 + overlapped.total_steps > overlapped.g_evals
+
+
+def test_a_gradient_that_raises_counts_only_where_its_step_is_accepted(monkeypatch):
+    # At a rejected trial point the serial run never forms g, so its
+    # exception is dropped; at an accepted one it reaches the caller.
+    base = t.get("ext_powell", 40)
+    config = t.SolverConfig(keep_trace=True)
+    serial = t.minimize(base, base.x0, config)
+    rejected = next(r.k for r in serial.trace if not r.accepted)
+    accepted = next(r.k for r in serial.trace if r.accepted and r.k > rejected)
+    force_overlap(monkeypatch)
+    for k in (rejected, accepted):
+        calls = [0]
+
+        def g(x, k=k):
+            calls[0] += 1
+            # g(x0) and g at the seed point come first, then one per trial step.
+            if calls[0] == 2 + k:
+                raise FloatingPointError(f"g fails at step {k}")
+            return base.eval_g(x)
+
+        prob = t.Problem("raising", base.n, base.eval_f, g, base.x0)
+        if k == rejected:
+            _assert_same_solve(serial, t.minimize(prob, prob.x0, config))
+        else:
+            with pytest.raises(FloatingPointError, match=f"step {k}"):
+                t.minimize(prob, prob.x0, config)
+
+
+def test_a_non_finite_f_drops_the_gradient_and_its_exception(monkeypatch):
+    def f(x):
+        return float("nan") if x[0] > 5.0 else float((x[0] - 10.0) ** 2)
+
+    def g(x):
+        if x[0] > 5.0:
+            raise FloatingPointError("g past the wall")
+        return np.array([2.0 * (x[0] - 10.0)])
+
+    prob = t.Problem("wall", 1, f, g, np.array([0.0]))
+    serial = t.minimize(prob, prob.x0)
+    force_overlap(monkeypatch)
+    overlapped = t.minimize(prob, prob.x0)
+    assert overlapped.status == STATUS_FAILED
+    _assert_same_solve(serial, overlapped)
+
+
+def test_the_callers_errstate_governs_f_on_the_worker(monkeypatch):
+    # f overflows past the wall.  Under np.errstate(over="raise") the serial
+    # run raises there, and so must the run that computes f on a worker.
+    f_threads = []
+
+    def f(x):
+        f_threads.append(threading.current_thread())
+        if x[0] > 5.0:
+            return float(np.exp(np.array([1000.0]))[0])
+        return float((x[0] - 10.0) ** 2)
+
+    prob = t.Problem("overflow", 1, f, lambda x: np.array([2.0 * (x[0] - 10.0)]), np.array([0.0]))
+    force_overlap(monkeypatch)
+    with np.errstate(over="ignore"):
+        assert t.minimize(prob, prob.x0).status == STATUS_FAILED  # f is inf past the wall
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        t.minimize(prob, prob.x0)
+    assert f_threads[-1] is not threading.current_thread()
+
+
+@pytest.mark.parametrize(
+    "f_cost,g_cost,cpus,overlaps",
+    [(1.0, 1.0, 2, True), (0.99, 5.0, 2, False), (5.0, 0.99, 2, False), (5.0, 5.0, 1, False), (0.0, 0.0, 2, False)],
+    ids=["both_at_the_constant", "f_cheaper", "g_cheaper", "one_cpu", "both_free"],
+)
+def test_f_moves_to_a_worker_only_when_both_evaluations_at_x0_cost_a_thread(monkeypatch, f_cost, g_cost, cpus, overlaps):
+    # A fake clock that only the evaluations advance, in units of the
+    # constant, so the rule is tested without timing anything.
+    clock = [0.0]
+    base = t.get("ext_rosenbrock", 20)
+
+    def costing(cost, fn):
+        def evaluate(x):
+            clock[0] += cost * driver.OVERLAP_MIN_S
+            return fn(x)
+
+        return evaluate
+
+    prob = t.Problem("costed", base.n, costing(f_cost, base.eval_f), costing(g_cost, base.eval_g), base.x0)
+    serial = t.minimize(base, base.x0)
+    monkeypatch.setattr(driver, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(pairs, "_usable_cpus", lambda: cpus)
+    if not overlaps:
+        monkeypatch.setattr(threading, "Thread", lambda *_, **__: pytest.fail("f moved to a worker"))
+    overlapped = []
+    real = driver.concurrently
+    monkeypatch.setattr(driver, "concurrently", lambda a, b: overlapped.append(1) or real(a, b))
+    _assert_same_solve(serial, t.minimize(prob, prob.x0))
+    assert len(overlapped) == (serial.total_steps if overlaps else 0)
 
 
 def _load_references():

@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 
@@ -196,8 +197,48 @@ def test_a_pass_stays_on_the_calling_thread_with_one_usable_cpu(monkeypatch):
 
     monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
     monkeypatch.setattr(pairs, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(pairs.threading, "Thread", no_thread)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     buf = fill_buffer(rng, n, len(pairs_in), m=m, pairs=pairs_in)
     x = rng.standard_normal(n)
     assert buf.vt_dot(x).tobytes() == serial.vt_dot(x).tobytes()
     assert buf.gram_SY.tobytes() == serial.gram_SY.tobytes()
+
+
+def test_concurrently_runs_the_first_call_on_a_worker_under_the_callers_context():
+    threads = []
+
+    def overflow():
+        threads.append(threading.current_thread())
+        return float(np.exp(np.array([1000.0]))[0])
+
+    with np.errstate(over="ignore"):
+        assert pairs.concurrently(overflow, lambda: 2) == (math.inf, 2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        pairs.concurrently(overflow, lambda: 2)
+    assert len(threads) == 2 and threading.current_thread() not in threads
+
+
+def test_one_second_thread_serves_a_block_and_is_joined_when_it_ends():
+    start = threading.active_count()
+    seen = {}
+
+    def block():
+        with pairs.one_second_thread():
+            seen["first"], _ = pairs.concurrently(threading.current_thread, lambda: None)
+            # A handoff from the block's thread gets a thread of its own
+            # instead of waiting on itself.
+            (seen["second"], seen["inner"]), _ = pairs.concurrently(
+                lambda: (threading.current_thread(), pairs.concurrently(threading.current_thread, lambda: None)[0]),
+                lambda: None,
+            )
+            seen["alive"] = threading.active_count()
+        seen["caller"] = threading.current_thread()
+
+    runner = threading.Thread(target=block, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive() and len(seen) == 5
+    # The runner and its block's one thread, and nothing left after the join.
+    assert seen["alive"] == start + 2 and threading.active_count() == start
+    assert seen["first"] is seen["second"]
+    assert seen["inner"] not in (seen["first"], seen["caller"]) and seen["first"] is not seen["caller"]

@@ -29,27 +29,30 @@ step whose two-norm decides the radius on its own is not measured in the
 shape-changing norm; a constrained step always is.
 
 When f and g at ``x0``, as ``minimize`` times them, each take at least
-``OVERLAP_MIN_S`` and the process may run on a second CPU, f at each trial
-point runs on the solve's second thread (``pairs.concurrently``) while g is
-formed at the same point on the calling thread.  g is used only if the step
-is accepted; at a rejected step, or where f is not finite, it and any
-exception it raised are dropped, so every result, count and trace is the
-one the serial path gives.  The rule is decided once per solve from a cost
-the solver observes, not from n: at n = 65536 f and g take 0.09 and 0.06 ms
-on ``quad_diag``, but 0.65 and 0.80 ms on ``ext_powell`` at its start and
-3.0 and 3.2 ms at its answer.  On the 2-CPU host that placed the constant,
-a handoff to the second thread took about 0.085 ms and starting that
-thread, once per solve, about 0.2 ms; ``ext_powell`` at n = 10^5 took f(x0)
-in 0.74 to 1.4 ms and g(x0) in 1.4 to 2.3 ms.  So the constant sits at 0.5
-ms, where that solve overlaps and every registry problem at n = 1000
-(microseconds per evaluation) stays serial; at 1 ms the same solve went
-either way.  f, not g, goes to the second thread because g allocates more:
-over 5 solves of ``ext_rosenbrock`` at n = 10^6 in one process, the peak
-RSS read 201.5 MB serial, 213.1 MB with f on the second thread and 220.7 MB
-with g there.  In 10 alternating 40 s ``solverbench`` runs a side,
-``powell-100k`` read a median 19.64 -> 15.60 ms a step (lower in 10 of 10,
-the parent's quartiles 0.72 ms apart), and in 6, ``rosenbrock-1m`` read
-77.35 -> 68.98 ms (6 of 6) with its peak RSS at 202.3 -> 214.0 MB.
+``OVERLAP_MIN_S`` and the solve has a second thread (``minimize`` opens one
+when the process may run on a second CPU), f at each trial point runs on it
+(``pairs.concurrently``) while g is formed at the same point on the calling
+thread.  g is used only if the step is accepted; at a rejected step, or
+where f is not finite, it and any exception it raised are dropped, so every
+result, count and trace is the one the serial path gives.  The rule is
+decided once per solve from a cost the solver observes, not from n: at
+n = 65536 f and g take 0.09 and 0.06 ms on ``quad_diag``, but 0.65 and 0.80
+ms on ``ext_powell`` at its start and 3.0 and 3.2 ms at its answer.  On the
+2-CPU host that placed the constant, a handoff to the second thread took
+about 0.085 ms and starting that thread, once per solve, about 0.2 ms.
+There ``ext_powell`` at n = 10^5 took f(x0) in 0.58 to 1.4 ms and g(x0) in
+1.3 ms or more, while the largest ``min(f, g)`` at ``x0`` of any registry
+problem at n = 1000 was 0.05 to 0.07 ms (``trigonometric``).  So the
+constant sits at 0.25 ms, with room of 2.3 times or more on both sides; at
+0.5 ms a host 1.2 to 2.8 times faster would send that solve down the serial
+path, and at 1 ms it went either way.  f, not g, goes to the second thread
+because g allocates more: over 5 solves of ``ext_rosenbrock`` at n = 10^6
+in one process, the peak RSS read 201.5 MB serial, 213.1 MB with f on the
+second thread and 220.7 MB with g there.  In 10 alternating 40 s
+``solverbench`` runs a side, ``powell-100k`` read a median 19.64 -> 15.60
+ms a step (lower in 10 of 10, the parent's quartiles 0.72 ms apart), and in
+6, ``rosenbrock-1m`` read 77.35 -> 68.98 ms (6 of 6) with its peak RSS at
+202.3 -> 214.0 MB.
 
 The ratio ``rho`` of actual to predicted decrease is computed with both
 shifted by ``10*eps*|f|`` (Conn, Gould & Toint, *Trust-Region Methods*,
@@ -71,6 +74,7 @@ The trust-region constants are fixed, because every caller uses one value:
 import math
 import numbers
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -109,7 +113,7 @@ ARMIJO = 1e-4
 MAX_HALVINGS = 50
 # Time that f(x0) and g(x0) must each take before f runs on a second
 # thread while g is formed (see the module docstring).
-OVERLAP_MIN_S = 5e-4
+OVERLAP_MIN_S = 2.5e-4
 
 
 class LineSearchError(RuntimeError):
@@ -329,6 +333,8 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     ``problem`` must expose ``eval_f(x) -> float`` and ``eval_g(x) -> array``.
     The two may run at the same time on two threads, on the same trial
     point (see the module docstring), so neither may write to its ``x``.
+    Where the process may run on two CPUs or more, the solve has one second
+    thread, started on first need and joined before this returns.
     The first move is a backtracking steepest-descent step that seeds the
     curvature history; every following iteration is a trust-region step.
     The compact inverse is rebuilt after each accepted pair; the spectral
@@ -338,16 +344,19 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     ``numerical_failure`` at the last good iterate; a radius below
     ``eps*max(1, ||x||)`` terminates it with status ``stalled``.
     """
-    # One second thread serves the whole solve (see the pairs docstring).
-    with pairs.one_second_thread():
-        return _minimize(problem, x0, config)
+    # One second thread serves the whole solve, when a second CPU is
+    # usable (see the pairs docstring).
+    if pairs._usable_cpus() < 2:
+        return _minimize(problem, x0, config, None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return _minimize(problem, x0, config, pool)
 
 
-def _minimize(problem, x0, config: SolverConfig | None) -> SolverResult:
+def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
     config = config if config is not None else SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    buffer = PairBuffer(n, config.m)
+    buffer = PairBuffer(n, config.m, pool)
 
     trace: list[IterationRecord] = []
     max_gamma = 0.0
@@ -373,9 +382,9 @@ def _minimize(problem, x0, config: SolverConfig | None) -> SolverResult:
     fx = float(problem.eval_f(x))
     t1 = time.perf_counter()
     g = np.asarray(problem.eval_g(x), dtype=float)
-    # f at each trial point runs on a second thread while g is formed
-    # there, when both evaluations cost well more than a handoff to it.
-    overlap = min(t1 - t0, time.perf_counter() - t1) >= OVERLAP_MIN_S and pairs._usable_cpus() >= 2
+    # f at each trial point runs on the pool's thread while g is formed
+    # here, when both evaluations cost well more than a handoff to it.
+    overlap = pool is not None and min(t1 - t0, time.perf_counter() - t1) >= OVERLAP_MIN_S
     f_evals = g_evals = 1
     if not (math.isfinite(fx) and np.all(np.isfinite(g))):
         return result(STATUS_FAILED, fx, g, 0, 0, f_evals, g_evals)
@@ -451,7 +460,7 @@ def _minimize(problem, x0, config: SolverConfig | None) -> SolverResult:
         if overlap:
             # (g, exception) at x_trial; used only if the step is accepted.
             f_trial, g_trial = concurrently(
-                lambda: float(problem.eval_f(x_trial)), lambda: _captured(problem.eval_g, x_trial)
+                pool, lambda: float(problem.eval_f(x_trial)), lambda: _captured(problem.eval_g, x_trial)
             )
         else:
             f_trial, g_trial = float(problem.eval_f(x_trial)), None

@@ -10,39 +10,39 @@ accepted pair, so the n-dimensional work per push stays O(m n).
 A pair is accepted when ``s^T y > C3 ||s|| ||y||``.  ``C3`` is fixed at
 1e-8 because every caller uses that value.
 
-The S rows and the Y rows are independent, so from ``n >= SPLIT_MIN_N``
-(2^19) a pass over them runs its S half on a second thread while the
-calling thread runs its Y half: ``try_push``'s eviction shift, Gram-row
-products and row write per side, and ``vt_dot``'s two gemvs (which also
-serve ``sc_norm``).  Below it, or when the process may run on one CPU
-only, both halves run in series on the calling thread.  Each BLAS call is
-the same single call either way, so every float is the same.
+The S rows and the Y rows are independent, so a buffer given a thread
+pool, at ``n >= SPLIT_MIN_N`` (2^19), runs the S half of each pass over
+them on the pool's thread while the calling thread runs its Y half:
+``try_push``'s eviction shift, Gram-row products and row write per side,
+and ``vt_dot``'s two gemvs (which also serve ``sc_norm``).  Below that n,
+or without a pool, both halves run in series on the calling thread.  Each
+BLAS call is the same single call either way, so every float is the same.
 
 ``concurrently`` runs the two halves; the driver uses it too, by its own
-rule, to compute f beside g.  ``minimize`` opens a ``one_second_thread``
-block, so one thread, started on first need and joined when the solve
-ends, serves every handoff of a solve (about 0.085 ms a handoff, against
-0.23 to 0.27 ms for a thread started and joined per call, which is what a
-call outside such a block gets).  One thread also means one malloc arena.
-With a thread per call, a thread started just after the last one was
-joined could find that thread's arena not yet released and take a new
-one, and each such arena kept about 11 MB of f's freed temporaries: the
-peak RSS of ``rosenbrock-1m`` read 225.4 MB in 4 of 9 runs instead of
-213.8 MB (202.2 MB serial).  With one thread per solve it read 213.9 to
-214.1 MB in 6 of 6 runs.
+rule, to compute f beside g.  ``minimize`` opens a one-thread pool per
+solve, when the process may run on two CPUs or more, and passes it to both,
+so one thread, started on first need and joined when the solve ends, serves
+every handoff of a solve (about 0.085 ms a handoff, against 0.23 to 0.27
+ms for a thread started and joined per call).  One thread also means one
+malloc arena.  With a thread per call, a thread started just after the last
+one was joined could find that thread's arena not yet released and take a
+new one, and each such arena kept about 11 MB of f's freed temporaries: the
+peak RSS of ``rosenbrock-1m`` read 225.4 MB in 4 of 9 runs instead of 213.8
+MB (202.2 MB serial).  With one thread per solve it read 213.9 to 214.1 MB
+in 6 of 6 runs.
 
-The split was measured on one 2-CPU virtual machine only.  There a thread
-start and join then cost 0.4 to 0.55 ms, and ``ext_rosenbrock`` at n = 10^6
-splits 113 times in its 50 steps, so about 1 ms of a step.  With one BLAS
-thread, as ``solverbench`` runs it, the split took that solve's
-``rosenbrock-1m`` step from a median 80.7 to 72.7 ms (10%, lower in 10 of
-10 alternating 40 s runs a side, the parent's quartiles 5.1 ms apart); two
-earlier series on the same host read 84.2 -> 73.3 ms (9 of 10) and 77.0 ->
-71.5 ms (7 of 10).  With BLAS left to its default of two threads the same
-solve read 106.8 -> 103.2 ms, lower in 3 of 6 pairs of single solves: no
-gain, and no cost that the host's noise shows.  With the threshold at 2^16, ``ext_powell``
-at n = 10^5 read slower in 3 of 3 pairs (20.5 -> 22.0, 19.3 -> 25.4 and
-20.1 -> 21.1 ms a step), so the threshold sits between the two.
+The split was measured on one 2-CPU virtual machine only.  With one BLAS
+thread, as ``solverbench`` runs it, the split took ``rosenbrock-1m``'s step
+from a median 80.7 to 72.7 ms (10%, lower in 10 of 10 alternating 40 s runs
+a side, the parent's quartiles 5.1 ms apart); two earlier series on the
+same host read 84.2 -> 73.3 ms (9 of 10) and 77.0 -> 71.5 ms (7 of 10).
+With BLAS left to its default of two threads the same solve read 106.8 ->
+103.2 ms, lower in 3 of 6 pairs of single solves: no gain, and no cost that
+the host's noise shows.  With the threshold at 2^16, ``ext_powell`` at n =
+10^5 read slower in 3 of 3 pairs (20.5 -> 22.0, 19.3 -> 25.4 and 20.1 ->
+21.1 ms a step), so the threshold sits between the two.  With one thread
+per solve, 2^16 read 12.17 -> 11.31 ms, lower in 7 of 10 15 s pairs but
+inside the parent's quartiles, 2.57 ms apart, so the threshold stayed.
 
 The halves call ``np.dot``, not ``@``: ``matmul`` holds the GIL through its
 gemv, so two concurrent ``(5, 10^6)`` products took 10.5 ms with ``@``
@@ -60,18 +60,17 @@ thread here: its products are m-vectors and its shift and row write are in
 place.
 """
 
-import contextlib
 import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 
 import numpy as np
 
 __all__ = ["PairBuffer"]
 
 C3 = 1e-8
-# Dimension from which a pass over the pairs runs its S half on a second thread.
+# Dimension from which a buffer given a pool runs the S half of each pass on its thread.
 SPLIT_MIN_N = 2**19
 
 
@@ -82,61 +81,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The executor of the open ``one_second_thread`` block, or None outside one.
-_pool = contextvars.ContextVar("second_thread", default=None)
+def concurrently(pool, a, b):
+    """``(a(), b())``, with ``a`` on ``pool``'s thread while ``b`` runs on this one.
 
-
-@contextlib.contextmanager
-def one_second_thread():
-    """Run every ``concurrently`` call in this block on one second thread.
-
-    The thread is started by the first call that needs it and joined when
-    the block ends, so none outlives the block.
-    """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        token = _pool.set(pool)
-        try:
-            yield
-        finally:
-            _pool.reset(token)
-
-
-def concurrently(a, b):
-    """``(a(), b())``, with ``a`` on a second thread while ``b`` runs on this one.
-
-    The second thread is the one of the open ``one_second_thread`` block,
-    or, outside one, a thread started and joined for this call alone.
     ``a`` runs in a copy of the calling thread's context, so settings kept
     in context variables, such as ``np.errstate``, govern it as they govern
-    ``b``; the copy has no block open, so a ``concurrently`` inside ``a``
-    starts a thread of its own instead of waiting on its own.  ``a`` has
-    finished before this returns or raises, and an exception from either
-    call is raised here (``b``'s first).  Each caller decides by its own
-    rule whether the overlap pays for the handoff.
+    ``b``.  ``a`` must not hand work to ``pool`` itself: with one thread it
+    would wait on its own.  ``a`` has finished before this returns or
+    raises, and an exception from either call is raised here (``b``'s
+    first).  Each caller decides by its own rule whether the overlap pays
+    for the handoff.
     """
-    pool = _pool.get()
-    if pool is None:
-        with one_second_thread():
-            return concurrently(a, b)
-    context = contextvars.copy_context()
-    context.run(_pool.set, None)
-    future = pool.submit(context.run, a)
+    future = pool.submit(contextvars.copy_context().run, a)
     try:
         b_result = b()
     finally:
         wait((future,))
     return future.result(), b_result
-
-
-def _in_halves(n: int, s_half, y_half):
-    """``(s_half(), y_half())``, with ``s_half`` on a second thread when the pass splits.
-
-    A pass splits when ``n >= SPLIT_MIN_N`` and the process may run on two
-    CPUs or more.
-    """
-    if n < SPLIT_MIN_N or _usable_cpus() < 2:
-        return s_half(), y_half()
-    return concurrently(s_half, y_half)
 
 
 def _push_row(rows: np.ndarray, new: np.ndarray, k: int, evict: bool, s: np.ndarray, y: np.ndarray):
@@ -167,13 +128,17 @@ class PairBuffer:
 
     ``S``, ``Y`` and the Gram blocks are views of preallocated storage: the
     next accepted pair may overwrite them, so copy what must outlive a push.
+    ``pool``, a one-thread executor or None, runs the S half of each pass
+    when ``n >= SPLIT_MIN_N``; the buffer never shuts it down.
     """
 
-    def __init__(self, n: int, m: int):
+    def __init__(self, n: int, m: int, pool=None):
         if n < 1 or m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
         self.n = int(n)
         self.m = int(m)
+        # The executor that runs the S half of each pass, if the pass splits.
+        self._pool = pool if self.n >= SPLIT_MIN_N else None
         self.count = 0
         # Row i holds the i-th oldest pair, so S^T x is a contiguous gemv.
         self._s_rows = np.empty((self.m, self.n))
@@ -239,8 +204,7 @@ class PairBuffer:
             k -= 1
 
         # Cross products against the surviving rows fill the new row and column.
-        (Ss, Sy), (Ys, Yy) = _in_halves(
-            self.n,
+        (Ss, Sy), (Ys, Yy) = self._in_halves(
             lambda: _push_row(self._s_rows, s, k, evict, s, y),
             lambda: _push_row(self._y_rows, y, k, evict, s, y),
         )
@@ -258,12 +222,17 @@ class PairBuffer:
         """``V^T x = [S^T x; Y^T x]`` with ``V = [S, Y]``, two gemvs over the rows."""
         k = self.count
         return np.concatenate(
-            _in_halves(
-                self.n,
+            self._in_halves(
                 lambda: np.dot(self._s_rows[:k], x),
                 lambda: np.dot(self._y_rows[:k], x),
             )
         )
+
+    def _in_halves(self, s_half, y_half):
+        """``(s_half(), y_half())``, with ``s_half`` on the pool's thread when the buffer has one."""
+        if self._pool is None:
+            return s_half(), y_half()
+        return concurrently(self._pool, s_half, y_half)
 
     def strict_lower(self, size: int) -> np.ndarray:
         """Boolean mask of the strictly lower triangle of a size-by-size matrix, ``size <= 2m``."""

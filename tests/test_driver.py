@@ -394,7 +394,8 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
     # results must not move, and each is followed by its trace's hash.  The
     # third splits every pass over the pairs across two threads and
     # computes f on a second thread while g is formed, which must move
-    # neither the results, their evaluation counts nor the traces.
+    # neither the results, their evaluation counts nor the traces; the
+    # threads that ran f and the S halves show that both were handed off.
     args = ["--sizes", "20", "--no-large"]
     fingerprint.main(args)
     first = capsys.readouterr().out.splitlines()
@@ -403,8 +404,16 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
     assert traced[0::2] == first
     assert all(line.startswith("trace ") and len(line.split()) == 3 for line in traced[1::2])
     force_threads(monkeypatch)
+    ran = {"f": set(), "S": set()}
+    for module, what in ((driver, "f"), (pairs, "S")):
+        def spy(pool, a, b, real=module.concurrently, threads=ran[what]):
+            return real(pool, lambda: threads.add(threading.current_thread()) or a(), b)
+
+        monkeypatch.setattr(module, "concurrently", spy)
     fingerprint.main(args + ["--keep-trace"])
     assert capsys.readouterr().out.splitlines() == traced
+    here = threading.current_thread()
+    assert ran["f"] and ran["S"] and here not in ran["f"] | ran["S"]
     assert len(first) == (len(t.PROBLEM_NAMES) + len(fingerprint.COSINE_STARTS)) * len(fingerprint.SPECS) == 60
     assert len(traced) == 2 * len(first)
     assert all(len(line.split()) == 13 for line in first)
@@ -474,6 +483,16 @@ def test_no_thread_outlives_a_split_solve(monkeypatch, raises):
     assert f_threads[0] is here and f_threads[-1] is not here
     workers = {thread for thread in f_threads if thread is not here}
     assert len(workers) == 1 and dot_threads == workers | {here}
+
+
+def test_a_solve_with_one_usable_cpu_builds_no_executor(monkeypatch):
+    # Every pass would split and f would move to a worker, had the solve a pool.
+    base = t.get("ext_rosenbrock", 20)
+    serial = t.minimize(base, base.x0)
+    force_threads(monkeypatch)
+    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(driver, "ThreadPoolExecutor", lambda *_, **__: pytest.fail("an executor was built"))
+    _assert_same_solve(serial, t.minimize(base, base.x0))
 
 
 def _assert_same_solve(a, b):
@@ -592,7 +611,7 @@ def test_f_moves_to_a_worker_only_when_both_evaluations_at_x0_cost_a_thread(monk
         monkeypatch.setattr(threading, "Thread", lambda *_, **__: pytest.fail("f moved to a worker"))
     overlapped = []
     real = driver.concurrently
-    monkeypatch.setattr(driver, "concurrently", lambda a, b: overlapped.append(1) or real(a, b))
+    monkeypatch.setattr(driver, "concurrently", lambda pool, a, b: overlapped.append(1) or real(pool, a, b))
     _assert_same_solve(serial, t.minimize(prob, prob.x0))
     assert len(overlapped) == (serial.total_steps if overlaps else 0)
 

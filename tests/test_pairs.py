@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -155,53 +156,88 @@ def test_np_dot_equals_matmul_bitwise(k):
 def test_an_exception_in_either_half_reaches_the_caller_after_the_join(monkeypatch, side):
     rng = np.random.default_rng(5)
     n, m = 30, 3
-    buf = PairBuffer(n, m)
-    for s, y in random_pairs(rng, n, m):
-        assert buf.try_push(s, y)
-    (s, y), = random_pairs(rng, n, 1)
     monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
-    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
     real_dot = np.dot
     s_threads = []
+    s_ended = []
 
     def dot(a, b):
         if np.shares_memory(a, buf._s_rows):
             s_threads.append(threading.current_thread())
-            if side == "S":
-                raise FloatingPointError("S half fails")
-            time.sleep(0.1)  # still running when the Y half raises
+            try:
+                if side == "S":
+                    raise FloatingPointError("S half fails")
+                time.sleep(0.1)  # still running when the Y half raises
+            finally:
+                s_ended.append(1)
         elif side == "Y" and np.shares_memory(a, buf._y_rows):
             raise FloatingPointError("Y half fails")
         return real_dot(a, b)
 
-    monkeypatch.setattr(pairs.np, "dot", dot)
-    start = threading.active_count()
-    with pytest.raises(FloatingPointError, match=f"{side} half fails"):
-        buf.try_push(s, y)
-    assert threading.active_count() == start
-    with pytest.raises(FloatingPointError, match=f"{side} half fails"):
-        buf.vt_dot(s)
-    assert threading.active_count() == start
-    # The S rows were multiplied on the second thread, never the caller's.
-    assert s_threads and threading.current_thread() not in s_threads
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        buf = PairBuffer(n, m, pool)
+        for s, y in random_pairs(rng, n, m):
+            assert buf.try_push(s, y)
+        (s, y), = random_pairs(rng, n, 1)
+        monkeypatch.setattr(pairs.np, "dot", dot)
+        for call in (lambda: buf.try_push(s, y), lambda: buf.vt_dot(s)):
+            with pytest.raises(FloatingPointError, match=f"{side} half fails"):
+                call()
+            # The S half had ended before the exception reached the caller.
+            assert s_threads and len(s_ended) == len(s_threads)
+    # The S rows were multiplied on the pool's thread, never the caller's.
+    assert threading.current_thread() not in s_threads
 
 
 def test_a_pass_stays_on_the_calling_thread_with_one_usable_cpu(monkeypatch):
+    # With one usable CPU minimize gives its buffer no pool, and a buffer
+    # without one runs every pass here, whatever its n.
     rng = np.random.default_rng(6)
     n, m = 30, 3
     pairs_in = random_pairs(rng, n, m + 2)
     serial = fill_buffer(rng, n, len(pairs_in), m=m, pairs=pairs_in)
 
     def no_thread(*_, **__):
-        pytest.fail("a pass split with one usable CPU")
+        pytest.fail("a pass split without a pool")
 
     monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
-    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(threading, "Thread", no_thread)
     buf = fill_buffer(rng, n, len(pairs_in), m=m, pairs=pairs_in)
     x = rng.standard_normal(n)
     assert buf.vt_dot(x).tobytes() == serial.vt_dot(x).tobytes()
     assert buf.gram_SY.tobytes() == serial.gram_SY.tobytes()
+
+
+@pytest.mark.parametrize("n", [30, 29])
+def test_a_buffer_given_a_pool_runs_its_s_half_on_the_pools_thread(monkeypatch, n):
+    # Bitwise the same blocks and V^T x as a buffer without a pool; below
+    # SPLIT_MIN_N (here 30) the buffer keeps no pool and runs every pass here.
+    rng = np.random.default_rng(8)
+    m = 3
+    pairs_in = random_pairs(rng, n, m + 3)
+    serial = fill_buffer(rng, n, len(pairs_in), m=m, pairs=pairs_in)
+    monkeypatch.setattr(pairs, "SPLIT_MIN_N", 30)
+    real_dot = np.dot
+    s_threads = set()
+
+    def dot(a, b):
+        if np.shares_memory(a, buf._s_rows):
+            s_threads.add(threading.current_thread())
+        return real_dot(a, b)
+
+    monkeypatch.setattr(pairs.np, "dot", dot)
+    x = rng.standard_normal(n)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        buf = PairBuffer(n, m, pool)
+        for s, y in pairs_in:
+            buf.try_push(s, y)
+        vt_x = buf.vt_dot(x)
+        worker = pool.submit(threading.current_thread).result()
+    assert buf.count == serial.count == m
+    for block in ("gram_SS", "gram_SY", "gram_YY"):
+        assert getattr(buf, block).tobytes() == getattr(serial, block).tobytes()
+    assert vt_x.tobytes() == serial.vt_dot(x).tobytes()
+    assert s_threads == ({worker} if n >= 30 else {threading.current_thread()})
 
 
 def test_concurrently_runs_the_first_call_on_a_worker_under_the_callers_context():
@@ -211,34 +247,22 @@ def test_concurrently_runs_the_first_call_on_a_worker_under_the_callers_context(
         threads.append(threading.current_thread())
         return float(np.exp(np.array([1000.0]))[0])
 
-    with np.errstate(over="ignore"):
-        assert pairs.concurrently(overflow, lambda: 2) == (math.inf, 2)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        pairs.concurrently(overflow, lambda: 2)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with np.errstate(over="ignore"):
+            assert pairs.concurrently(pool, overflow, lambda: 2) == (math.inf, 2)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            pairs.concurrently(pool, overflow, lambda: 2)
     assert len(threads) == 2 and threading.current_thread() not in threads
 
 
 def test_one_second_thread_serves_a_block_and_is_joined_when_it_ends():
+    # Every handoff to a one-thread pool, the one a solve opens, runs on
+    # that one thread, which is joined when the pool's block ends.
     start = threading.active_count()
-    seen = {}
-
-    def block():
-        with pairs.one_second_thread():
-            seen["first"], _ = pairs.concurrently(threading.current_thread, lambda: None)
-            # A handoff from the block's thread gets a thread of its own
-            # instead of waiting on itself.
-            (seen["second"], seen["inner"]), _ = pairs.concurrently(
-                lambda: (threading.current_thread(), pairs.concurrently(threading.current_thread, lambda: None)[0]),
-                lambda: None,
-            )
-            seen["alive"] = threading.active_count()
-        seen["caller"] = threading.current_thread()
-
-    runner = threading.Thread(target=block, daemon=True)
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive() and len(seen) == 5
-    # The runner and its block's one thread, and nothing left after the join.
-    assert seen["alive"] == start + 2 and threading.active_count() == start
-    assert seen["first"] is seen["second"]
-    assert seen["inner"] not in (seen["first"], seen["caller"]) and seen["first"] is not seen["caller"]
+    seen = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for _ in range(3):
+            seen.append(pairs.concurrently(pool, threading.current_thread, lambda: None)[0])
+        alive = threading.active_count()
+    assert alive == start + 1 and threading.active_count() == start
+    assert len(set(seen)) == 1 and seen[0] is not threading.current_thread()

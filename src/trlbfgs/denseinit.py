@@ -135,8 +135,8 @@ def _gram_pinv(G: np.ndarray) -> np.ndarray:
 
 def unconstrained_step(inv: InverseRep, buffer: PairBuffer, g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Full quasi-Newton step ``-B^{-1} g`` in O(m n), given ``w = M_hat V^T g``."""
-    k = buffer.count
-    return -(g / inv.gamma_perp + buffer.S @ w[:k] + buffer.Y @ w[k:])
+    sw, yw = buffer.v_dot(w)
+    return -(g / inv.gamma_perp + sw + yw)
 
 
 def unconstrained_norm(inv: InverseRep, gg: float, u: np.ndarray, w: np.ndarray) -> float:

@@ -355,6 +355,8 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
 def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
     config = config if config is not None else SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
+    if x.ndim != 1:
+        raise ValueError(f"x0 must be one-dimensional, got shape {x.shape}")
     n = x.size
     buffer = PairBuffer(n, config.m, pool)
 

@@ -11,12 +11,15 @@ A pair is accepted when ``s^T y > C3 ||s|| ||y||``.  ``C3`` is fixed at
 1e-8 because every caller uses that value.
 
 The S rows and the Y rows are independent, so a buffer given a thread
-pool, at ``n >= SPLIT_MIN_N`` (2^19), runs the S half of each pass over
+pool, at ``n >= SPLIT_MIN_N`` (2^19), runs the S half of every pass over
 them on the pool's thread while the calling thread runs its Y half:
 ``try_push``'s eviction shift, Gram-row products and row write per side,
-and ``vt_dot``'s two gemvs (which also serve ``sc_norm``).  Below that n,
-or without a pool, both halves run in series on the calling thread.  Each
-BLAS call is the same single call either way, so every float is the same.
+``vt_dot``'s ``S^T x`` and ``Y^T x`` and ``v_dot``'s ``S w1`` and ``Y w2``.
+Below that n, or without a pool, both halves run in series on the calling
+thread.  Each BLAS call is the same single call either way, so every float
+is the same.  Nothing else in the package reads the rows.  ``v_dot``'s S
+half allocates its n-vector on the second thread, beside f's temporaries,
+yet ``rosenbrock-1m``'s peak RSS stayed at 214.1 MB (medians of 10 runs).
 
 ``concurrently`` runs the two halves; the driver uses it too, by its own
 rule, to compute f beside g.  ``minimize`` opens a one-thread pool per
@@ -28,8 +31,9 @@ malloc arena.  With a thread per call, a thread started just after the last
 one was joined could find that thread's arena not yet released and take a
 new one, and each such arena kept about 11 MB of f's freed temporaries: the
 peak RSS of ``rosenbrock-1m`` read 225.4 MB in 4 of 9 runs instead of 213.8
-MB (202.2 MB serial).  With one thread per solve it read 213.9 to 214.1 MB
-in 6 of 6 runs.
+MB.  The 12 MB above a serial solve's 202 MB are f's temporaries alive
+beside g's (tracemalloc peaks at 133.5 MiB inside ``concurrently``, against
+122.1 MiB in a serial solve's steps), so no allocator setting recovers them.
 
 The split was measured on one 2-CPU virtual machine only.  With one BLAS
 thread, as ``solverbench`` runs it, the split took ``rosenbrock-1m``'s step
@@ -51,13 +55,6 @@ ms; the two eviction shifts took 8.5 against 14.9 ms).  ``np.dot`` gives
 the same floats as ``@`` for these shapes and costs less at small n (2.0
 against 2.2 to 3.3 us for a ``(4, 1000)`` gemv), so the serial path uses
 it too.
-
-``psi_dot``'s and ``unconstrained_step``'s ``S @ w1`` and ``Y @ w2`` stay
-serial: splitting them as well raised the peak RSS of the n = 10^6 solve
-from 202 to 218 MB, likely because those products allocate n-vectors on the
-second thread (not verified).  Nothing n-sized is allocated on the second
-thread here: its products are m-vectors and its shift and row write are in
-place.
 """
 
 import contextvars
@@ -226,6 +223,14 @@ class PairBuffer:
                 lambda: np.dot(self._s_rows[:k], x),
                 lambda: np.dot(self._y_rows[:k], x),
             )
+        )
+
+    def v_dot(self, w: np.ndarray):
+        """``(S w[:k], Y w[k:])`` for ``k`` stored pairs: the two halves of ``V w``, ``V = [S, Y]``."""
+        k = self.count
+        return self._in_halves(
+            lambda: np.dot(self._s_rows[:k].T, w[:k]),
+            lambda: np.dot(self._y_rows[:k].T, w[k:]),
         )
 
     def _in_halves(self, s_half, y_half):

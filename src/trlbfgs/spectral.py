@@ -3,12 +3,12 @@
 With history columns ``S``, ``Y`` and a scale ``gamma > 0``, the quasi-Newton
 matrix has the low-rank form ``B = gamma*I + Psi M Psi^T`` with
 ``Psi = [gamma*S, Y]``.  Everything here works in the 2m'-dimensional Gram
-geometry: the only n-dimensional operations are products with ``Psi`` and
-with ``V^T = [S, Y]^T`` (``PairBuffer.vt_dot``), from which ``Psi^T x`` is one
-scaling away.  In particular the orthonormal basis of Range(Psi) is never stored;
-products with it are assembled from a pivoted Cholesky factor of the
-column-normalized Gram ``Psi^T Psi`` and the eigenvectors of the small core
-matrix.
+geometry: the only n-dimensional operations are products with ``V = [S, Y]``
+and ``V^T``, which ``PairBuffer`` forms (``v_dot``, ``vt_dot``) and from
+which ``Psi w`` and ``Psi^T x`` are one scaling away.  In particular the
+orthonormal basis of Range(Psi) is never stored; products with it are
+assembled from a pivoted Cholesky factor of the column-normalized Gram
+``Psi^T Psi`` and the eigenvectors of the small core matrix.
 
 The triangular solves call LAPACK's ``dtrtrs`` directly (``solve_upper``)
 instead of going through ``scipy.linalg.solve_triangular``.  At n = 10^3 the
@@ -103,12 +103,6 @@ def solve_upper(U: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     return x
-
-
-def psi_dot(buffer: PairBuffer, gamma: float, w: np.ndarray) -> np.ndarray:
-    """Blockwise ``Psi w = gamma*S w1 + Y w2`` in O(m n)."""
-    k = buffer.count
-    return gamma * (buffer.S @ w[:k]) + buffer.Y @ w[k:]
 
 
 def psi_gram(buffer: PairBuffer, gamma: float) -> np.ndarray:
@@ -229,7 +223,11 @@ def apply_P_par(fac: SpectralFactorization, buffer: PairBuffer, v: np.ndarray) -
     z = solve_upper(fac.U1, fac.W @ v)
     w = np.zeros(2 * buffer.count)
     w[fac.piv] = z / fac.col_scale
-    return psi_dot(buffer, fac.gamma, w)
+    sw, yw = buffer.v_dot(w)
+    # gamma*sw + yw formed in sw: one n-vector fewer alive, the same floats.
+    sw *= fac.gamma
+    sw += yw
+    return sw
 
 
 def perp_norm_sq(xx: float, g_par: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -76,6 +77,25 @@ def test_zero_gradient_start_returns_immediately():
     res = t.minimize(prob, np.zeros(5))
     assert res.status == STATUS_CONVERGED
     assert res.iterations == 0 and res.total_steps == 0
+
+
+@pytest.mark.parametrize("shape", [(), (1, 1), (2, 2)])
+def test_a_start_that_is_not_one_dimensional_is_rejected_before_any_evaluation(shape):
+    # A 0-d start used to fail inside the solve in matmul, and a 2-d one
+    # with a TypeError from converting an array to a scalar.
+    def never(x):
+        pytest.fail("a rejected start was evaluated")
+
+    prob = t.Problem("never", math.prod(shape), never, never, np.ones(shape))
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        t.minimize(prob, prob.x0)
+
+
+@pytest.mark.parametrize("x0", [[1.0, -2.0, 3.0], np.array([1, -2, 3])], ids=["list", "integer"])
+def test_a_one_dimensional_list_or_integer_start_still_solves(x0):
+    res = t.minimize(sphere(3), x0)
+    assert res.status == STATUS_CONVERGED
+    assert np.linalg.norm(res.x_final) <= 1e-9
 
 
 def test_trust_region_constants_are_ordered():
@@ -452,12 +472,12 @@ def test_no_thread_outlives_a_split_solve(monkeypatch, raises):
     f_threads = []
     dot_threads = set()
 
-    def dot(a, b):
+    def dot(*args, **kwargs):
         calls[0] += 1
         dot_threads.add(threading.current_thread())
         if raises == "pairs" and calls[0] > 40:
             raise FloatingPointError("a pass over the pairs fails")
-        return real_dot(a, b)
+        return real_dot(*args, **kwargs)
 
     monkeypatch.setattr(pairs.np, "dot", dot)
     base = t.get("ext_rosenbrock", 20)

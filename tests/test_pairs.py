@@ -179,8 +179,9 @@ def test_an_exception_in_either_half_reaches_the_caller_after_the_join(monkeypat
         for s, y in random_pairs(rng, n, m):
             assert buf.try_push(s, y)
         (s, y), = random_pairs(rng, n, 1)
+        w = rng.standard_normal(2 * m)
         monkeypatch.setattr(pairs.np, "dot", dot)
-        for call in (lambda: buf.try_push(s, y), lambda: buf.vt_dot(s)):
+        for call in (lambda: buf.try_push(s, y), lambda: buf.vt_dot(s), lambda: buf.v_dot(w)):
             with pytest.raises(FloatingPointError, match=f"{side} half fails"):
                 call()
             # The S half had ended before the exception reached the caller.
@@ -238,6 +239,36 @@ def test_a_buffer_given_a_pool_runs_its_s_half_on_the_pools_thread(monkeypatch, 
         assert getattr(buf, block).tobytes() == getattr(serial, block).tobytes()
     assert vt_x.tobytes() == serial.vt_dot(x).tobytes()
     assert s_threads == ({worker} if n >= 30 else {threading.current_thread()})
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no_pool"])
+def test_v_dot_is_bitwise_the_two_column_products_at_every_count(monkeypatch, pooled):
+    # (S w[:k], Y w[k:]) as @ forms them from the stored columns, for k = 1
+    # to m; with a pool, at SPLIT_MIN_N (here 30), the S half runs on the
+    # pool's thread, as every other pass over the rows does.
+    rng = np.random.default_rng(9)
+    n, m = 30, 4
+    monkeypatch.setattr(pairs, "SPLIT_MIN_N", 30)
+    real_dot = np.dot
+    s_threads = set()
+
+    def dot(*args, **kwargs):
+        if np.shares_memory(args[0], buf._s_rows):
+            s_threads.add(threading.current_thread())
+        return real_dot(*args, **kwargs)
+
+    monkeypatch.setattr(pairs.np, "dot", dot)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        buf = PairBuffer(n, m, pool if pooled else None)
+        worker = pool.submit(threading.current_thread).result()
+        for k, (s, y) in enumerate(random_pairs(rng, n, m), start=1):
+            assert buf.try_push(s, y) and buf.count == k
+            w = rng.standard_normal(2 * k)
+            s_threads.clear()
+            sw, yw = buf.v_dot(w)
+            assert sw.tobytes() == (buf.S @ w[:k]).tobytes()
+            assert yw.tobytes() == (buf.Y @ w[k:]).tobytes()
+            assert s_threads == ({worker} if pooled else {threading.current_thread()})
 
 
 def test_concurrently_runs_the_first_call_on_a_worker_under_the_callers_context():

@@ -25,18 +25,31 @@ followed by a ``trace`` line with the number of its ``IterationRecord``
 entries and the sha1 of all their fields (floats as ``float.hex``), so the
 check covers ``rho``, ``step_norm``, ``rank`` and ``accepted`` as well.
 Without its ``trace`` lines that output must equal the output without the
-flag.
+flag.  ``--header`` first prints ``# key value`` lines naming the
+environment that rounded the sweep (``environment``).
 
-pytest does not collect this file; ``test_driver.py`` runs it at n = 20.
+``fingerprint_n20.txt`` beside this file records the n = 20 sweep with its
+trace lines and that header, made with
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/fingerprint.py --sizes 20 --no-large --keep-trace --header > tests/fingerprint_n20.txt
+
+and ``test_fingerprint.py`` compares the sweep with it.  A change that moves
+round-off rewrites the file in its own diff, where the solves that moved
+can be read.  pytest does not collect this file; ``test_driver.py`` and
+``test_fingerprint.py`` run it at n = 20.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import os
+import platform
 import sys
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 import trlbfgs as t
 from trlbfgs.bench import parse_solver_spec
@@ -46,6 +59,46 @@ SIZES = (20, 200, 1000)
 # (n, x0) of the sum(cos x) solves, each from the constant start x0.
 COSINE_STARTS = ((10, 0.1), (10, 0.05), (50, 0.2), (7, -0.3))
 LARGE = (("ext_powell", 10**5), ("ext_rosenbrock", 10**6))
+RECORDED = Path(__file__).with_name("fingerprint_n20.txt")
+
+
+def _blas(config) -> str:
+    """Name and version of the BLAS a package was built against."""
+    try:
+        deps = config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{deps.get('name')} {deps.get('version')}"
+
+
+def _openblas_core() -> str:
+    """The kernel set numpy's bundled OpenBLAS chose for this CPU when it loaded, or ``unknown``."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def environment() -> dict[str, str]:
+    """What the sweep's round-off depends on besides the code.
+
+    numpy's and scipy's versions fix their summation and SIMD loops, each
+    package's BLAS its dot products and LAPACK calls, and the OpenBLAS core
+    the kernels it runs on this CPU.  The BLAS thread count is left out: the
+    n = 20 sweep prints the same lines with one thread, two, or unset.
+    """
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": _blas(np.show_config),
+        "scipy_blas": _blas(scipy.show_config),
+        "blas_core": _openblas_core(),
+    }
 
 
 def cosine_sum(n: int, x0: float) -> t.Problem:
@@ -96,7 +149,11 @@ def main(argv=None) -> None:
     parser.add_argument("--sizes", type=int, nargs="+", default=SIZES, help="registry dimensions")
     parser.add_argument("--no-large", dest="large", action="store_false", help="skip the n = 10^5 and 10^6 solves")
     parser.add_argument("--keep-trace", action="store_true", help="solve with SolverConfig(keep_trace=True)")
+    parser.add_argument("--header", action="store_true", help="first print the environment as '# key value' lines")
     args = parser.parse_args(argv)
+    if args.header:
+        for key, value in environment().items():
+            print(f"# {key} {value}")
     for solve in solves(args.sizes, args.large):
         print(fingerprint(*solve, keep_trace=args.keep_trace), flush=True)
 

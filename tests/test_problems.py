@@ -123,3 +123,57 @@ def test_dimension_constraints_raise():
         t.get("ext_rosenbrock", 7)
     with pytest.raises(ValueError):
         t.get("ext_powell", 6)
+
+
+def _powell_with_pow(x):
+    """ext_powell's f and g with ``**``, and for g each entry's sum of absolute terms."""
+    a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
+    f = np.sum((a + 10.0 * b) ** 2) + 5.0 * np.sum((c - d) ** 2) + np.sum((b - 2.0 * c) ** 4) + 10.0 * np.sum((a - d) ** 4)
+    t1, t2, t3, t4 = a + 10.0 * b, c - d, (b - 2.0 * c) ** 3, (a - d) ** 3
+    g, scale = np.empty_like(x), np.empty_like(x)
+    g[0::4], scale[0::4] = 2.0 * t1 + 40.0 * t4, abs(2.0 * t1) + abs(40.0 * t4)
+    g[1::4], scale[1::4] = 20.0 * t1 + 4.0 * t3, abs(20.0 * t1) + abs(4.0 * t3)
+    g[2::4], scale[2::4] = 10.0 * t2 - 8.0 * t3, abs(10.0 * t2) + abs(8.0 * t3)
+    g[3::4], scale[3::4] = -10.0 * t2 - 40.0 * t4, abs(10.0 * t2) + abs(40.0 * t4)
+    return f, g, scale
+
+
+def _dqrtic_with_pow(x):
+    r = x - np.arange(1.0, x.size + 1.0) / x.size
+    g = 4.0 * r**3
+    return np.sum(r**4), g, abs(g)
+
+
+def _near_powell_answer(n, scale, rng):
+    """A point near 0 with ``a + 10 b = c - d = 0``, where only the quartic terms are left."""
+    x = np.empty(n)
+    b, c = scale * rng.standard_normal((2, n // 4))
+    x[0::4], x[1::4], x[2::4], x[3::4] = -10.0 * b, b, c, c
+    return x
+
+
+def _near_dqrtic_answer(n, scale, rng):
+    return np.arange(1.0, n + 1.0) / n + scale * rng.standard_normal(n)
+
+
+# Products round twice where pow rounds once, so the two forms agree to a
+# few ulps of each term; entries of g that cancel are held to their terms.
+POW_RTOL = 1e-15
+
+
+@pytest.mark.parametrize(
+    "name,with_pow,near_answer",
+    [("ext_powell", _powell_with_pow, _near_powell_answer), ("dqrtic", _dqrtic_with_pow, _near_dqrtic_answer)],
+    ids=["ext_powell", "dqrtic"],
+)
+def test_integer_powers_written_as_products_match_pow(name, with_pow, near_answer):
+    n = 400
+    prob = t.get(name, n)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    points = [prob.x0 + rng.standard_normal(n) for _ in range(3)]
+    # Near the answer, where ext_powell's f and g cost ten times more with pow.
+    points += [near_answer(n, scale, rng) for scale in (1e-2, 1e-4, 1e-6)]
+    for x in points:
+        f, g, g_scale = with_pow(x)
+        assert abs(prob.eval_f(x) - f) <= POW_RTOL * f
+        assert np.all(np.abs(prob.eval_g(x) - g) <= POW_RTOL * g_scale)

@@ -35,24 +35,16 @@ when the process may run on a second CPU), f at each trial point runs on it
 thread.  g is used only if the step is accepted; at a rejected step, or
 where f is not finite, it and any exception it raised are dropped, so every
 result, count and trace is the one the serial path gives.  The rule is
-decided once per solve from a cost the solver observes, not from n: at
-n = 65536 f and g take 0.09 and 0.06 ms on ``quad_diag``, but 0.65 and 0.80
-ms on ``ext_powell`` at its start and 3.0 and 3.2 ms at its answer.  On the
-2-CPU host that placed the constant, a handoff to the second thread took
-about 0.085 ms and starting that thread, once per solve, about 0.2 ms.
-There ``ext_powell`` at n = 10^5 took f(x0) in 0.58 to 1.4 ms and g(x0) in
-1.3 ms or more, while the largest ``min(f, g)`` at ``x0`` of any registry
-problem at n = 1000 was 0.05 to 0.07 ms (``trigonometric``).  So the
-constant sits at 0.25 ms, with room of 2.3 times or more on both sides; at
-0.5 ms a host 1.2 to 2.8 times faster would send that solve down the serial
-path, and at 1 ms it went either way.  f, not g, goes to the second thread
-because g allocates more: over 5 solves of ``ext_rosenbrock`` at n = 10^6
-in one process, the peak RSS read 201.5 MB serial, 213.1 MB with f on the
-second thread and 220.7 MB with g there.  In 10 alternating 40 s
-``solverbench`` runs a side, ``powell-100k`` read a median 19.64 -> 15.60
-ms a step (lower in 10 of 10, the parent's quartiles 0.72 ms apart), and in
-6, ``rosenbrock-1m`` read 77.35 -> 68.98 ms (6 of 6) with its peak RSS at
-202.3 -> 214.0 MB.
+decided once per solve from a cost the solver observes, not from n.  The
+constant, 1.5 ms, is about 18 handoffs to the second thread (0.085 ms each
+on the 2-CPU host that placed it) and sits between two measured solves:
+``ext_powell`` at n = 10^5, f(x0) about 0.3 ms, steps faster serially, and
+``ext_rosenbrock`` at n = 10^6, f(x0) 6 to 8 ms, stays overlapped, as does
+``broyden_tridiag`` at n = 10^6 (16 to 22 ms), where the overlap saves
+about 18% a step.  No registry problem at n = 1000 takes 0.1 ms.  f, not g,
+goes to the second thread because g allocates more: on ``ext_rosenbrock``
+at n = 10^6 the peak RSS read 213 MB with f there and 221 MB with g there.
+The series behind these figures are in ``CHANGES.md``.
 
 The ratio ``rho`` of actual to predicted decrease is computed with both
 shifted by ``10*eps*|f|`` (Conn, Gould & Toint, *Trust-Region Methods*,
@@ -112,8 +104,9 @@ GAMMA0_PERP = 1.0
 ARMIJO = 1e-4
 MAX_HALVINGS = 50
 # Time that f(x0) and g(x0) must each take before f runs on a second
-# thread while g is formed (see the module docstring).
-OVERLAP_MIN_S = 2.5e-4
+# thread while g is formed: between ext_powell's f(x0) at n = 10^5, which
+# steps faster serially, and ext_rosenbrock's at n = 10^6 (module docstring).
+OVERLAP_MIN_S = 1.5e-3
 
 
 class LineSearchError(RuntimeError):

@@ -36,13 +36,13 @@ thread.  g is used only if the step is accepted; at a rejected step, or
 where f is not finite, it and any exception it raised are dropped, so every
 result, count and trace is the one the serial path gives.  The rule is
 decided once per solve from a cost the solver observes, not from n.  The
-constant, 1.5 ms, is about 18 handoffs to the second thread (0.085 ms each
+constant, 1.5 ms, is about 15 handoffs to the second thread (0.1 ms each
 on the 2-CPU host that placed it) and sits between two measured solves:
 ``ext_powell`` at n = 10^5, f(x0) about 0.3 ms, steps faster serially, and
-``ext_rosenbrock`` at n = 10^6, f(x0) 6 to 8 ms, stays overlapped, as does
+``ext_rosenbrock`` at n = 10^6, f(x0) 6 to 10 ms, stays overlapped, as does
 ``broyden_tridiag`` at n = 10^6 (16 to 22 ms), where the overlap saves
-about 18% a step.  No registry problem at n = 1000 takes 0.1 ms.  f, not g,
-goes to the second thread because g allocates more: on ``ext_rosenbrock``
+about 18% a step.  At n = 1000 no registry problem's ``min(f, g)`` at
+``x0`` reaches 0.05 ms.  f, not g, goes to the second thread because g allocates more: on ``ext_rosenbrock``
 at n = 10^6 the peak RSS read 213 MB with f there and 221 MB with g there.
 The series behind these figures are in ``CHANGES.md``.
 

@@ -78,7 +78,7 @@ def _openblas_core() -> str:
         for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
             corename = getattr(lib, symbol, None)
             if corename is not None:
-                corename.restype = ctypes.c_char_p
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
                 return corename().decode()
     return "unknown"
 

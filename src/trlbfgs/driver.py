@@ -42,9 +42,10 @@ on the 2-CPU host that placed it) and sits between two measured solves:
 ``ext_rosenbrock`` at n = 10^6, f(x0) 6 to 10 ms, stays overlapped, as does
 ``broyden_tridiag`` at n = 10^6 (16 to 22 ms), where the overlap saves
 about 18% a step.  At n = 1000 no registry problem's ``min(f, g)`` at
-``x0`` reaches 0.05 ms.  f, not g, goes to the second thread because g allocates more: on ``ext_rosenbrock``
-at n = 10^6 the peak RSS read 213 MB with f there and 221 MB with g there.
-The series behind these figures are in ``CHANGES.md``.
+``x0`` reaches 0.05 ms.  f, not g, goes to the second thread because g
+allocates more: on ``ext_rosenbrock`` at n = 10^6 the peak RSS read 213 MB
+with f there and 221 MB with g there.  The series behind these figures are
+in ``CHANGES.md``.
 
 The ratio ``rho`` of actual to predicted decrease is computed with both
 shifted by ``10*eps*|f|`` (Conn, Gould & Toint, *Trust-Region Methods*,

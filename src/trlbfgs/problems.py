@@ -5,10 +5,10 @@ same value.  Gradients are written out analytically; ``fd_check`` compares
 them against central differences and is run over the whole registry by the
 test suite.
 
-Integer powers above 2 are written as products (``t2 = t**2; t2*t2``,
-``t*t*t``): numpy takes ``**3`` and ``**4`` of negative bases through
-libm's ``pow``, which made ``ext_powell``'s f at n = 10^5 cost 4.1 ms
-near its answer (at ``x0/1000``) against 0.23 ms as products.
+Integer powers above 2 are written as products (``_cube``, ``_fourth``):
+numpy takes ``**3`` and ``**4`` of negative bases through libm's ``pow``,
+which made ``ext_powell``'s f at n = 10^5 cost 4.1 ms near its answer (at
+``x0/1000``) against 0.23 ms as products.
 """
 
 from dataclasses import dataclass
@@ -26,6 +26,15 @@ class Problem:
     eval_f: Callable[[np.ndarray], float]
     eval_g: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
+
+
+def _cube(t):
+    return t * t * t
+
+
+def _fourth(t):
+    t2 = t * t
+    return t2 * t2
 
 
 def _quad_diag(n: int) -> Problem:
@@ -111,23 +120,19 @@ def _ext_powell(n: int) -> Problem:
 
     def f(x):
         a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-        u2 = (b - 2.0 * c) ** 2
-        v2 = (a - d) ** 2
         return float(
             np.sum((a + 10.0 * b) ** 2)
             + 5.0 * np.sum((c - d) ** 2)
-            + np.sum(u2 * u2)
-            + 10.0 * np.sum(v2 * v2)
+            + np.sum(_fourth(b - 2.0 * c))
+            + 10.0 * np.sum(_fourth(a - d))
         )
 
     def g(x):
         a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
         t1 = a + 10.0 * b
         t2 = c - d
-        u = b - 2.0 * c
-        v = a - d
-        t3 = u * u * u
-        t4 = v * v * v
+        t3 = _cube(b - 2.0 * c)
+        t4 = _cube(a - d)
         out = np.empty_like(x)
         out[0::4] = 2.0 * t1 + 40.0 * t4
         out[1::4] = 20.0 * t1 + 4.0 * t3
@@ -261,12 +266,10 @@ def _dqrtic(n: int) -> Problem:
     idx = np.arange(1.0, n + 1.0) / n
 
     def f(x):
-        r2 = (x - idx) ** 2
-        return float(np.sum(r2 * r2))
+        return float(np.sum(_fourth(x - idx)))
 
     def g(x):
-        r = x - idx
-        return 4.0 * (r * r * r)
+        return 4.0 * _cube(x - idx)
 
     return Problem("dqrtic", n, f, g, 2.0 * np.ones(n))
 

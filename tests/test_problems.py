@@ -128,7 +128,12 @@ def test_dimension_constraints_raise():
 def _powell_with_pow(x):
     """ext_powell's f and g with ``**``, and for g each entry's sum of absolute terms."""
     a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-    f = np.sum((a + 10.0 * b) ** 2) + 5.0 * np.sum((c - d) ** 2) + np.sum((b - 2.0 * c) ** 4) + 10.0 * np.sum((a - d) ** 4)
+    f = (
+        np.sum((a + 10.0 * b) ** 2)
+        + 5.0 * np.sum((c - d) ** 2)
+        + np.sum((b - 2.0 * c) ** 4)
+        + 10.0 * np.sum((a - d) ** 4)
+    )
     t1, t2, t3, t4 = a + 10.0 * b, c - d, (b - 2.0 * c) ** 3, (a - d) ** 3
     g, scale = np.empty_like(x), np.empty_like(x)
     g[0::4], scale[0::4] = 2.0 * t1 + 40.0 * t4, abs(2.0 * t1) + abs(40.0 * t4)

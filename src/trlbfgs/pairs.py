@@ -5,7 +5,8 @@ A :class:`PairBuffer` holds the ``m`` most recent accepted pairs ``(s, y)``
 ``S^T Y`` and ``Y^T Y``.  Each pair is stored once, as one row of a
 preallocated ``(m, n)`` array per vector, and the blocks are maintained
 incrementally in preallocated ``(m, m)`` arrays, one row/column written per
-accepted pair, so the n-dimensional work per push stays O(m n).
+accepted pair, so the n-dimensional work per push stays O(m n).  Nothing
+else in the package reads the rows.
 
 A pair is accepted when ``s^T y > C3 ||s|| ||y||``.  ``C3`` is fixed at
 1e-8 because every caller uses that value.
@@ -17,44 +18,26 @@ them on the pool's thread while the calling thread runs its Y half:
 ``vt_dot``'s ``S^T x`` and ``Y^T x`` and ``v_dot``'s ``S w1`` and ``Y w2``.
 Below that n, or without a pool, both halves run in series on the calling
 thread.  Each BLAS call is the same single call either way, so every float
-is the same.  Nothing else in the package reads the rows.  ``v_dot``'s S
-half allocates its n-vector on the second thread, beside f's temporaries,
-yet ``rosenbrock-1m``'s peak RSS stayed at 214.1 MB (medians of 10 runs).
+is the same.  The threshold sits between two measured solves, with one BLAS
+thread on a 2-CPU host: the split took ``rosenbrock-1m`` (n = 10^6) from
+80.7 to 72.7 ms a step, and at 2^16 it never met the gain rule on
+``ext_powell`` at n = 10^5.  With two BLAS threads it showed neither gain
+nor cost.
 
 ``concurrently`` runs the two halves; the driver uses it too, by its own
 rule, to compute f beside g.  ``minimize`` opens a one-thread pool per
-solve, when the process may run on two CPUs or more, and passes it to both,
-so one thread, started on first need and joined when the solve ends, serves
-every handoff of a solve (about 0.085 ms a handoff, against 0.23 to 0.27
-ms for a thread started and joined per call).  One thread also means one
-malloc arena.  With a thread per call, a thread started just after the last
-one was joined could find that thread's arena not yet released and take a
-new one, and each such arena kept about 11 MB of f's freed temporaries: the
-peak RSS of ``rosenbrock-1m`` read 225.4 MB in 4 of 9 runs instead of 213.8
-MB.  The 12 MB above a serial solve's 202 MB are f's temporaries alive
-beside g's (tracemalloc peaks at 133.5 MiB inside ``concurrently``, against
-122.1 MiB in a serial solve's steps), so no allocator setting recovers them.
-
-The split was measured on one 2-CPU virtual machine only.  With one BLAS
-thread, as ``solverbench`` runs it, the split took ``rosenbrock-1m``'s step
-from a median 80.7 to 72.7 ms (10%, lower in 10 of 10 alternating 40 s runs
-a side, the parent's quartiles 5.1 ms apart); two earlier series on the
-same host read 84.2 -> 73.3 ms (9 of 10) and 77.0 -> 71.5 ms (7 of 10).
-With BLAS left to its default of two threads the same solve read 106.8 ->
-103.2 ms, lower in 3 of 6 pairs of single solves: no gain, and no cost that
-the host's noise shows.  With the threshold at 2^16, ``ext_powell`` at n =
-10^5 read slower in 3 of 3 pairs (20.5 -> 22.0, 19.3 -> 25.4 and 20.1 ->
-21.1 ms a step), so the threshold sits between the two.  With one thread
-per solve, 2^16 read 12.17 -> 11.31 ms, lower in 7 of 10 15 s pairs but
-inside the parent's quartiles, 2.57 ms apart, so the threshold stayed.
+solve, when the process may run on two CPUs or more, and passes it to both.
+A handoff to that thread costs about 0.085 ms, against 0.23 to 0.27 ms for
+a thread started and joined per call.  One thread also means one malloc
+arena: with a thread per call, ``rosenbrock-1m``'s peak RSS read 225.4 MB
+instead of 213.8 MB in 4 of 9 runs, from arenas not yet released.
 
 The halves call ``np.dot``, not ``@``: ``matmul`` holds the GIL through its
 gemv, so two concurrent ``(5, 10^6)`` products took 10.5 ms with ``@``
-against 9.6 ms in series, while ``np.dot`` releases it (5.9 against 10.0
-ms; the two eviction shifts took 8.5 against 14.9 ms).  ``np.dot`` gives
-the same floats as ``@`` for these shapes and costs less at small n (2.0
-against 2.2 to 3.3 us for a ``(4, 1000)`` gemv), so the serial path uses
-it too.
+against 9.6 ms in series, and 5.9 against 10.0 ms with ``np.dot``.
+``np.dot`` gives the same floats as ``@`` for these shapes and costs less
+at small n, so the serial path uses it too.  The series behind these
+figures are in ``CHANGES.md``.
 """
 
 import contextvars

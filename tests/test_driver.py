@@ -16,6 +16,7 @@ import trlbfgs as t
 import trlbfgs.driver as driver
 import trlbfgs.pairs as pairs
 from trlbfgs.driver import (
+    CLOSED_NORM_MIN,
     ETA1,
     ETA2,
     ETA3,
@@ -167,6 +168,8 @@ def test_step_selection_constrained_when_radius_shrinks():
     snorm = t.sc_norm(choice.p_star, fac, buf)
     assert snorm <= delta + 1e-10
     assert snorm == pytest.approx(delta, rel=1e-9)
+    # The closed form max(||v_par||_inf, |beta| ||g_perp||) is on the boundary.
+    assert choice.closed_norm == pytest.approx(delta, rel=1e-14)
 
 
 def test_step_selection_with_no_pair_stored_takes_the_scaled_identity_step():
@@ -285,33 +288,61 @@ def test_v_transpose_g_is_formed_once_per_gradient_and_buffer_state(monkeypatch)
 def test_a_full_step_norm_is_skipped_only_where_it_leaves_the_radius(monkeypatch, conventional, n):
     # A full step's shape-changing norm is taken only when the radius
     # update can read it: rho < TAU2, or rho >= TAU3 with the two-norm from
-    # the cheap test at least ETA3*delta.  A trace takes every norm, so
-    # each step the rule skips can be checked with its real norm.
-    full_norms = []
+    # the cheap test at least ETA3*delta.  A constrained step's is taken
+    # only when rho < TAU2 or rho >= TAU3 and its closed form is below
+    # CLOSED_NORM_MIN*delta; otherwise the closed form stands in for it.
+    # A trace takes every norm, so each step the rules skip can be checked
+    # with its real norm, and the same solve without a trace must measure
+    # exactly the norms the rules keep.
+    choices = []
+    norms = []
     real_select = driver.step_selection
+    real_sc_norm = driver.sc_norm
 
     def recording_select(*args, **kwargs):
         choice = real_select(*args, **kwargs)
-        full_norms.append(choice.full_norm)
+        choices.append(choice)
         return choice
 
+    def counting_sc_norm(*args):
+        norms.append(None)
+        return real_sc_norm(*args)
+
     monkeypatch.setattr(driver, "step_selection", recording_select)
-    skipped = 0
+    monkeypatch.setattr(driver, "sc_norm", counting_sc_norm)
+    skipped = skipped_constrained = 0
     for name in t.PROBLEM_NAMES:
-        full_norms.clear()
+        choices.clear()
         prob = t.get(name, n)
         res = t.minimize(prob, prob.x0, t.SolverConfig(conventional=conventional, keep_trace=True))
         assert res.status == STATUS_CONVERGED
-        assert len(res.trace) == len(full_norms) == res.total_steps
-        for rec, full_norm in zip(res.trace, full_norms):
+        assert len(res.trace) == len(choices) == res.total_steps
+        kept = 0  # norms left to sc_norm; rank 0 marks a step with no pair stored
+        for rec, choice in zip(res.trace, choices):
+            full_norm, closed_norm = choice.full_norm, choice.closed_norm
             if rec.step_type != "unconstrained":
+                in_band = TAU2 <= rec.rho < TAU3
+                if in_band or closed_norm >= CLOSED_NORM_MIN * rec.delta:
+                    # Outside the band the closed form picks the branch.
+                    skipped_constrained += not in_band
+                    assert t.radius_update(rec.rho, closed_norm, rec.delta) == t.radius_update(
+                        rec.rho, rec.step_norm, rec.delta
+                    )
+                else:
+                    kept += rec.rank > 0
                 continue
             # ||p||_sc <= ||p||_2, up to round-off.
             assert rec.step_norm <= full_norm * (1.0 + 1e-12)
             if not (rec.rho < TAU2 or (rec.rho >= TAU3 and full_norm >= ETA3 * rec.delta)):
                 skipped += 1
                 assert t.radius_update(rec.rho, rec.step_norm, rec.delta) == rec.delta
+            else:
+                kept += rec.rank > 0
+        norms.clear()
+        untraced = t.minimize(prob, prob.x0, t.SolverConfig(conventional=conventional))
+        assert (untraced.total_steps, len(norms)) == (res.total_steps, kept)
     assert skipped > 0
+    assert skipped_constrained > 0
 
 
 def test_accepted_trial_point_is_the_iterate_its_gradient_is_taken_at():

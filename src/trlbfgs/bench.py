@@ -26,14 +26,10 @@ and the CPUs the process may run on (``nproc``) in the ``meta`` of
 ``records.json``.
 
 In a process that may run on two CPUs or more, a solve has one second
-thread and uses it in two places.  At n >= 2^19 it runs the S half and the
-Y half of every pass over the stored pairs on the two threads, the step's
-products with S and Y among them (see ``trlbfgs.pairs``).  When f and g at
-``x0`` each take at least ``driver.OVERLAP_MIN_S`` (1.5 ms), it computes f
-at each trial point on the second thread while g is formed there (see
-``trlbfgs.driver``).  With BLAS pinned to one thread each thread calls
-single-threaded BLAS, and the results are bitwise those of the serial path
-that smaller or cheaper solves take.
+thread.  It splits the passes over the stored pairs by the rule of
+``trlbfgs.pairs``, and computes f beside g by the rule of
+``trlbfgs.driver``.  With BLAS pinned to one thread each thread calls
+single-threaded BLAS, and the results are bitwise those of the serial path.
 """
 
 import argparse

@@ -67,13 +67,13 @@ def build_inverse(buffer: PairBuffer, gamma: float, gamma_perp: float) -> Invers
     eigendecomposition of the column-normalized Gram (``_gram_pinv``); the
     result acts identically inside the ``V (.) V^T`` sandwich.
 
-    Both paths are taken.  With one BLAS thread, ``dpotrf`` succeeds on 7180
-    of the 7920 calls of a ``registry-1k`` benchmark round, all from dense
+    Both paths are taken.  With one BLAS thread, ``dpotrf`` succeeds on 7173
+    of the 7960 calls of a ``registry-1k`` benchmark round, all from dense
     solves (a conventional solve has ``alpha = 0`` and never factors), and
-    fails on every call of the two solves at n >= 10^5: 163 of 163 in
-    ``powell-100k`` and 44 of 44 in ``rosenbrock-1m``.  The Cholesky path stays because it is
-    the cheap one: about 5 us a call on a 10-by-10 Gram, against 34 to 44 us
-    for ``_gram_pinv``'s eigendecomposition.
+    fails on every call of the two solves at n >= 10^5: 131 of 131 in
+    ``powell-100k`` and 44 of 44 in ``rosenbrock-1m``.  The Cholesky path
+    stays because it is the cheap one: about 5 us a call on a 10-by-10
+    Gram, against 34 to 44 us for ``_gram_pinv``'s eigendecomposition.
     """
     k = buffer.count
     if k == 0:

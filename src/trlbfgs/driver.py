@@ -24,35 +24,30 @@ formed once and becomes x on acceptance.  A run whose radius falls below the res
 The radius update reads a step's shape-changing norm only to pick a branch
 (below ``(ETA1/ETA2)*delta`` or not when ``rho < TAU2``, at least
 ``ETA3*delta`` or not when ``rho >= TAU3``, none in between), so without a
-trace ``sc_norm`` measures it only where no value the step selection holds
-picks the branch.  A full step's two-norm from the cheap test bounds the
-norm above (``P = [P_par P_perp]`` is orthogonal) and picks the branch of
-``rho >= TAU3`` when below ``ETA3*delta``.  A constrained step's closed
-form ``max(||v_par||_inf, |beta| ||g_perp||)``, its norm in exact
-arithmetic, picks either branch from ``CLOSED_NORM_MIN*delta`` = 0.9 delta:
-the measured norm would have to lie 11% below it to cross a threshold, and
-on the 22,459 constrained steps of the fingerprint sweep's registry solves
-the two differed by at most 6.4%.  Either way the radius is the one the
+trace ``sc_norm`` measures it only where ``StepChoice.norm`` does not pick
+the branch.  For a full step that is its two-norm from the cheap test,
+which bounds the shape-changing norm above (``P = [P_par P_perp]`` is
+orthogonal) and picks the branch of ``rho >= TAU3`` when below
+``ETA3*delta``.  For a constrained step it is the closed form
+``max(||v_par||_inf, |beta| ||g_perp||)``, its norm in exact arithmetic,
+which picks either branch from ``CLOSED_NORM_MIN*delta`` = 0.9 delta: the
+measured norm would have to lie 11% below it to cross a threshold, and on
+the 22,459 constrained steps of the fingerprint sweep's registry solves the
+two differed by at most 6.4%.  Either way the radius is the one the
 measured norm gives, bit for bit.
 
 When f and g at ``x0``, as ``minimize`` times them, each take at least
-``OVERLAP_MIN_S`` and the solve has a second thread (``minimize`` opens one
-when the process may run on a second CPU), f at each trial point runs on it
-(``pairs.concurrently``) while g is formed at the same point on the calling
-thread.  g is used only if the step is accepted; at a rejected step, or
-where f is not finite, it and any exception it raised are dropped, so every
-result, count and trace is the one the serial path gives.  The rule is
-decided once per solve from a cost the solver observes, not from n.  The
-constant, 1.5 ms, is about 15 handoffs to the second thread (0.1 ms each
-on the 2-CPU host that placed it) and sits between two measured solves:
-``ext_powell`` at n = 10^5, f(x0) about 0.3 ms, steps faster serially, and
-``ext_rosenbrock`` at n = 10^6, f(x0) 6 to 10 ms, stays overlapped, as does
-``broyden_tridiag`` at n = 10^6 (16 to 22 ms), where the overlap saves
-about 18% a step.  At n = 1000 no registry problem's ``min(f, g)`` at
-``x0`` reaches 0.05 ms.  f, not g, goes to the second thread because g
-allocates more: on ``ext_rosenbrock`` at n = 10^6 the peak RSS read 213 MB
-with f there and 221 MB with g there.  The series behind these figures are
-in ``CHANGES.md``.
+``OVERLAP_MIN_S`` and the solve has a second thread, f at each trial point
+runs on it while g is formed at the same point on the calling thread.  g is
+used only if the step is accepted; at a rejected step, or where f is not
+finite, it and any exception it raised are dropped, so every result, count
+and trace is the one the serial path gives.  The constant, 1.5 ms, is about
+15 handoffs to the second thread (0.1 ms each on a 2-CPU host) and sits
+between ``ext_powell`` at n = 10^5, f(x0) about 0.3 ms, which steps faster
+serially, and ``ext_rosenbrock`` and ``broyden_tridiag`` at n = 10^6, f(x0)
+6 to 22 ms, where the overlap pays (about 18% a step on the latter).  f,
+not g, goes to the second thread because g allocates more: 213 against
+221 MB peak RSS on ``ext_rosenbrock`` at n = 10^6.
 
 The ratio ``rho`` of actual to predicted decrease is computed with both
 shifted by ``10*eps*|f|`` (Conn, Gould & Toint, *Trust-Region Methods*,
@@ -112,13 +107,10 @@ GAMMA0_PERP = 1.0
 ARMIJO = 1e-4
 MAX_HALVINGS = 50
 # Time that f(x0) and g(x0) must each take before f runs on a second
-# thread while g is formed: between ext_powell's f(x0) at n = 10^5, which
-# steps faster serially, and ext_rosenbrock's at n = 10^6 (module docstring).
+# thread while g is formed (module docstring).
 OVERLAP_MIN_S = 1.5e-3
-# Fraction of the radius from which a constrained step's closed-form norm
-# picks the radius update's branch unmeasured; the measured norm would have
-# to lie 11% below it to cross ETA3*delta, the higher threshold (module
-# docstring).
+# Fraction of the radius from which a constrained step's norm picks the
+# radius update's branch unmeasured (module docstring).
 CLOSED_NORM_MIN = 0.9
 
 
@@ -204,18 +196,15 @@ class SolverResult:
 
 class StepChoice(NamedTuple):
     """A trial step, whether it is the full quasi-Newton step, its model
-    value, and ``full_norm``, the two-norm of the full step that the cheap
-    test compared with the radius (so ``p_star``'s own when
-    ``used_unconstrained``).  ``closed_norm`` is a constrained step's
-    shape-changing norm in closed form, ``max(||v_par||_inf, |beta|
-    ||g_perp||)`` from its two blocks, which equals ``sc_norm(p_star)`` when
-    the retained basis is orthonormal; it is NaN for a full step."""
+    value, and ``norm``, which stands in for its shape-changing norm where
+    the radius rule allows (module docstring): a full step's two-norm from
+    the cheap test, or a constrained step's closed form ``max(||v_par||_inf,
+    |beta| ||g_perp||)``."""
 
     p_star: np.ndarray
     used_unconstrained: bool
     model_value: float
-    full_norm: float
-    closed_norm: float = math.nan
+    norm: float
 
 
 class InitialStep(NamedTuple):
@@ -292,7 +281,7 @@ def _identity_step(g: np.ndarray, gg: float, delta: float, gamma0: float) -> Ste
     beta = solve_perp_beta(gamma0, g_norm, delta)
     empty = np.empty(0)
     q = model_reduction(empty, beta, empty, g_norm, empty, gamma0)
-    return StepChoice(beta * g, False, q, full_norm, abs(beta) * g_norm)
+    return StepChoice(beta * g, False, q, abs(beta) * g_norm)
 
 
 def step_selection(
@@ -336,7 +325,7 @@ def step_selection(
     p = assemble_step(beta, g, g_par, v_par, fac, buffer)
     q = model_reduction(v_par, beta, g_par, gp_norm, fac.lambdas, gamma_perp)
     closed_norm = max(abs(beta) * gp_norm, *map(abs, v_par.tolist()))
-    return StepChoice(p, False, q, pu_norm, closed_norm)
+    return StepChoice(p, False, q, closed_norm)
 
 
 def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
@@ -466,9 +455,7 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
 
         total_steps += 1
         delta_used = delta
-        p, used_unconstrained, q, full_norm, closed_norm = step_selection(
-            buffer, factors, inv, g, u, gg, delta, gamma_perp
-        )
+        p, used_unconstrained, q, norm = step_selection(buffer, factors, inv, g, u, gg, delta, gamma_perp)
 
         x_trial = x + p
         if overlap:
@@ -488,21 +475,18 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
         rho = (f_trial - fx - shift) / (q - shift) if q < 0 else -math.inf
         if not math.isfinite(rho):
             rho = -math.inf
-        # The radius update reads the norm only to pick a branch, and not
-        # at all when TAU2 <= rho < TAU3.  A full step's two-norm, an upper
-        # bound, picks it when below ETA3*delta; a constrained step's closed
-        # form picks it from CLOSED_NORM_MIN*delta (module docstring).  The
-        # norm is taken before an accepted pair changes the factorization.
-        # With no pair stored the shape-changing norm is the two-norm.
+        # The radius rule (module docstring); the norm is measured before
+        # an accepted pair changes the factorization, and with no pair
+        # stored it is the two-norm.
         picked = (
-            rho >= TAU3 and full_norm < ETA3 * delta
+            rho >= TAU3 and norm < ETA3 * delta
             if used_unconstrained
-            else closed_norm >= CLOSED_NORM_MIN * delta
+            else norm >= CLOSED_NORM_MIN * delta
         )
         if config.keep_trace or not (TAU2 <= rho < TAU3 or picked):
             step_norm = sc_norm(p, factors(), buffer) if buffer.count else float(np.linalg.norm(p))
         else:
-            step_norm = full_norm if used_unconstrained else closed_norm
+            step_norm = norm
 
         accepted = rho >= TAU1
         if accepted:

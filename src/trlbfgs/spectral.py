@@ -24,7 +24,8 @@ among them, comes from numpy.  The two wheels bundle different OpenBLAS
 builds (0.3.30 in scipy 1.17.1, 0.3.31 in numpy 2.4.6), so the same LAPACK
 routine can round differently between them.  Swapping ``np.linalg.eigh``
 for scipy's ``dsyevd`` matched numpy bitwise on 3000 random matrices, yet
-moved ``ext_powell`` at n = 10^5 from 211 to 431 steps.
+moved ``ext_powell`` at n = 10^5 from 211 to 431 steps, measured while its
+powers were still formed with ``**``.
 ``tests/test_exports.py`` holds the step-path modules to these imports.
 """
 

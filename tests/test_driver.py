@@ -22,6 +22,7 @@ from trlbfgs.driver import (
     ETA3,
     ETA4,
     GAMMA0_PERP,
+    MAX_HALVINGS,
     STATUS_CONVERGED,
     STATUS_FAILED,
     STATUS_MAX_ITER,
@@ -148,7 +149,7 @@ def test_step_selection_unconstrained_for_tiny_gradient():
     choice = t.step_selection(buf, no_factors, inv, g, buf.vt_dot(g), float(g @ g), 1.0, gamma_perp)
     assert choice.used_unconstrained
     assert choice.model_value < 0
-    assert choice.full_norm == pytest.approx(np.linalg.norm(choice.p_star), rel=1e-12)
+    assert choice.norm == pytest.approx(np.linalg.norm(choice.p_star), rel=1e-12)
 
 
 def test_step_selection_constrained_when_radius_shrinks():
@@ -163,13 +164,12 @@ def test_step_selection_constrained_when_radius_shrinks():
     delta = 1e-3 * pu_norm
     choice = t.step_selection(buf, lambda: fac, inv, g, u, gg, delta, gamma_perp)
     assert not choice.used_unconstrained
-    assert choice.full_norm == pu_norm
     # feasibility plus boundary activity in at least one block
     snorm = t.sc_norm(choice.p_star, fac, buf)
     assert snorm <= delta + 1e-10
     assert snorm == pytest.approx(delta, rel=1e-9)
     # The closed form max(||v_par||_inf, |beta| ||g_perp||) is on the boundary.
-    assert choice.closed_norm == pytest.approx(delta, rel=1e-14)
+    assert choice.norm == pytest.approx(delta, rel=1e-14)
 
 
 def test_step_selection_with_no_pair_stored_takes_the_scaled_identity_step():
@@ -190,7 +190,7 @@ def test_step_selection_with_no_pair_stored_takes_the_scaled_identity_step():
         expected = -g / GAMMA0_PERP if fits else (-delta / g_norm) * g
         assert choice.p_star.tobytes() == expected.tobytes()
         assert choice.used_unconstrained == fits
-        assert choice.full_norm == full_norm
+        assert choice.norm == (full_norm if fits else pytest.approx(delta, rel=1e-15))
         p = choice.p_star
         assert choice.model_value == pytest.approx(g @ p + 0.5 * GAMMA0_PERP * (p @ p), rel=1e-14)
 
@@ -319,21 +319,21 @@ def test_a_full_step_norm_is_skipped_only_where_it_leaves_the_radius(monkeypatch
         assert len(res.trace) == len(choices) == res.total_steps
         kept = 0  # norms left to sc_norm; rank 0 marks a step with no pair stored
         for rec, choice in zip(res.trace, choices):
-            full_norm, closed_norm = choice.full_norm, choice.closed_norm
+            norm = choice.norm
             if rec.step_type != "unconstrained":
                 in_band = TAU2 <= rec.rho < TAU3
-                if in_band or closed_norm >= CLOSED_NORM_MIN * rec.delta:
+                if in_band or norm >= CLOSED_NORM_MIN * rec.delta:
                     # Outside the band the closed form picks the branch.
                     skipped_constrained += not in_band
-                    assert t.radius_update(rec.rho, closed_norm, rec.delta) == t.radius_update(
+                    assert t.radius_update(rec.rho, norm, rec.delta) == t.radius_update(
                         rec.rho, rec.step_norm, rec.delta
                     )
                 else:
                     kept += rec.rank > 0
                 continue
             # ||p||_sc <= ||p||_2, up to round-off.
-            assert rec.step_norm <= full_norm * (1.0 + 1e-12)
-            if not (rec.rho < TAU2 or (rec.rho >= TAU3 and full_norm >= ETA3 * rec.delta)):
+            assert rec.step_norm <= norm * (1.0 + 1e-12)
+            if not (rec.rho < TAU2 or (rec.rho >= TAU3 and norm >= ETA3 * rec.delta)):
                 skipped += 1
                 assert t.radius_update(rec.rho, rec.step_norm, rec.delta) == rec.delta
             else:
@@ -752,6 +752,8 @@ def test_line_search_failure_is_numerical_failure():
     assert res.status == STATUS_FAILED
     assert np.array_equal(res.x_final, np.zeros(2))
     assert res.iterations == 0
+    # f at x0 and at each of the MAX_HALVINGS + 1 trial points; g at x0 only.
+    assert (res.f_evals, res.g_evals) == (MAX_HALVINGS + 2, 1)
 
 
 def test_monotone_acceptance():
@@ -775,6 +777,17 @@ def test_non_finite_function_fails_at_last_good_iterate():
     assert res.status == STATUS_FAILED
     assert np.isfinite(res.f_final)
     assert res.x_final[0] <= 5.0
+
+    # g is NaN at the point the initial search finds, so no pair is seeded
+    # and the run ends at x0.
+    def g_nan_past_x0(x):
+        return g(x) if x[0] == 0.0 else np.array([math.nan])
+
+    prob = t.Problem("nan_seed_gradient", 1, f, g_nan_past_x0, np.array([0.0]))
+    res = t.minimize(prob, prob.x0)
+    assert res.status == STATUS_FAILED
+    assert (res.x_final[0], res.f_final) == (0.0, 100.0)
+    assert (res.iterations, res.total_steps, res.g_evals) == (0, 0, 2)
 
 
 def test_max_iter_status():

@@ -11,8 +11,9 @@ the fraction of problems it solved within factor tau of the best.
 
 ``--solvers`` and ``--problems`` take lists, as in ``bench run --solvers
 dense:c=2,lambda=1 conventional --problems ext_powell tridia``.  A solver
-spec is ``conventional`` or ``dense[:c=...,lambda=...,everywhere=...]``, and
-``--problems`` defaults to the whole registry.  Bad arguments, and a
+spec is ``dense[:c=...,lambda=...]`` or ``conventional``, which is
+``dense:lambda=0`` under its own solver id, and ``--problems`` defaults to
+the whole registry.  Bad arguments, and a
 ``records.json`` that ``bench profile`` cannot read or profile, are usage
 errors (exit status 2) reported before anything is solved or written.
 
@@ -87,9 +88,9 @@ def parse_solver_spec(spec: str) -> tuple[str, dict]:
     """Parse one solver spec into (solver_id, SolverConfig overrides)."""
     spec = spec.strip()
     if spec == "conventional":
-        return "conventional", {"conventional": True}
+        return "conventional", {"lam": 0.0}
     if spec == "dense" or spec.startswith("dense:"):
-        c, lam, everywhere = SolverConfig.c, SolverConfig.lam, SolverConfig.dense_everywhere
+        c, lam = SolverConfig.c, SolverConfig.lam
         body = spec[len("dense:"):] if spec.startswith("dense:") else ""
         for item in (s for s in body.split(",") if s):
             key, _, value = item.partition("=")
@@ -99,14 +100,9 @@ def parse_solver_spec(spec: str) -> tuple[str, dict]:
                 c = float(value)
             elif key == "lambda":
                 lam = float(value)
-            elif key == "everywhere":
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(f"everywhere must be true or false, got {value!r}")
-                everywhere = value.lower() == "true"
             else:
                 raise ValueError(f"unknown solver option {key!r} in {spec!r}")
-        solver_id = f"dense(c={c:g},lambda={lam:g},everywhere={str(everywhere).lower()})"
-        return solver_id, {"c": c, "lam": lam, "dense_everywhere": everywhere}
+        return f"dense(c={c:g},lambda={lam:g})", {"c": c, "lam": lam}
     raise ValueError(f"unknown solver spec {spec!r}")
 
 
@@ -355,14 +351,17 @@ def main(argv=None) -> int:
         nargs="+",
         default=["dense", "conventional"],
         metavar="SPEC",
-        help="solver specs, e.g. dense:c=2,lambda=1 conventional",
+        help="dense[:c=...,lambda=...] or conventional (lambda = 0), e.g. dense:c=2,lambda=1 conventional",
     )
     run_p.add_argument("--reps", type=int, default=10)
     run_p.add_argument("--discard", type=int, default=2, help="warm-up runs dropped from timing")
     run_p.add_argument("--out", default=DEFAULT_OUT_DIR, help="output directory")
     run_p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
     run_p.add_argument("--m", type=int, default=SolverConfig.m)
-    run_p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
+    run_p.add_argument(
+        "--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter",
+        help="trial steps per solve, rejected ones included (default: %(default)s)",
+    )
     run_p.set_defaults(func=_cmd_run, usage_error=run_p.error)
 
     prof_p = sub.add_parser("profile", help="compute performance profiles from records")

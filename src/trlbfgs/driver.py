@@ -70,7 +70,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -122,12 +122,13 @@ class LineSearchError(RuntimeError):
 class SolverConfig:
     """Driver parameters.
 
-    ``m`` is the memory, ``c`` and ``lam`` select the two-scale
-    initialization, and a run stops when ``||g||_2 <= epsilon*max(1, ||x||_2)``.
-    ``dense_everywhere`` controls whether the two-scale initialization is
-    also used for the full quasi-Newton step or only inside the constrained
-    solve; ``conventional`` pins the perpendicular scale to gamma itself,
-    which reproduces the single-scale method exactly.  ``keep_trace``
+    ``m`` is the memory, and a run stops when ``||g||_2 <= epsilon*max(1,
+    ||x||_2)``, or with status ``max_iter`` after ``max_iter`` trial steps
+    (``SolverResult.total_steps``), rejected ones included.  ``c`` and
+    ``lam`` select the perpendicular scale ``gamma_perp = lam*c*gamma_max +
+    (1-lam)*gamma``, which every step uses; ``lam = 0`` gives gamma itself,
+    the conventional single-scale method.  ``conventional=True`` is an
+    alias that sets ``lam`` to 0; it is not stored.  ``keep_trace``
     records one :class:`IterationRecord` per trial step; to fill in its
     ``step_norm`` and ``rank`` it takes the shape-changing norm of every
     step, and so the factorization after every accepted pair, which costs
@@ -139,11 +140,12 @@ class SolverConfig:
     c: float = 1.0
     lam: float = 0.5
     max_iter: int = 10000
-    dense_everywhere: bool = True
-    conventional: bool = False
     keep_trace: bool = False
+    conventional: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, conventional):
+        if conventional:
+            self.lam = 0.0
         for name in ("m", "max_iter"):
             value = getattr(self, name)
             # bool is an Integral; 2.5 and NaN are not.
@@ -292,17 +294,15 @@ def step_selection(
     u: np.ndarray,
     gg: float,
     delta: float,
-    gamma_perp: float,
 ) -> StepChoice:
     """Pick the trial step: full quasi-Newton step if it fits, else exact solve.
 
     ``inv`` is the compact inverse of the current pairs, and ``factors()``
     returns their spectral factorization; it is called only on the
     constrained branch, so a caller can build the factorization there on
-    first need.  The cheap test and the full step use ``inv``, whose
-    perpendicular scale the caller chose (gamma itself when the two-scale
-    initialization is confined to the constrained branch); the constrained
-    branch applies ``gamma_perp``.  ``u = V^T g`` and ``gg = g^T g`` serve
+    first need.  Both branches take the perpendicular scale from
+    ``inv.gamma_perp``: the cheap test and the full step through ``inv``,
+    the constrained solve directly.  ``u = V^T g`` and ``gg = g^T g`` serve
     both branches and change only with g or the pairs, so the caller forms
     them once per accepted step; ``w = M_hat u`` is formed here once and
     serves both the norm test and the full step.  While no pair is stored
@@ -321,9 +321,9 @@ def step_selection(
     g_par = apply_P_par_T(fac, u)
     gp_norm = math.sqrt(perp_norm_sq(gg, g_par))
     v_par = solve_parallel(g_par, fac.lambdas, delta, fac.zero_tol)
-    beta = solve_perp_beta(gamma_perp, gp_norm, delta)
+    beta = solve_perp_beta(inv.gamma_perp, gp_norm, delta)
     p = assemble_step(beta, g, g_par, v_par, fac, buffer)
-    q = model_reduction(v_par, beta, g_par, gp_norm, fac.lambdas, gamma_perp)
+    q = model_reduction(v_par, beta, g_par, gp_norm, fac.lambdas, inv.gamma_perp)
     closed_norm = max(abs(beta) * gp_norm, *map(abs, v_par.tolist()))
     return StepChoice(p, False, q, closed_norm)
 
@@ -442,8 +442,8 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
             if buffer.count:
                 gamma = float(buffer.gram_YY[-1, -1]) / float(buffer.gram_SY[-1, -1])
                 max_gamma = max(max_gamma, gamma)
-                gamma_perp = gamma if config.conventional else perp_scale(config.c, config.lam, gamma, max_gamma)
-                inv = build_inverse(buffer, gamma, gamma_perp if config.dense_everywhere else gamma)
+                gamma_perp = perp_scale(config.c, config.lam, gamma, max_gamma)
+                inv = build_inverse(buffer, gamma, gamma_perp)
             else:
                 gamma = gamma_perp = GAMMA0_PERP
                 inv = None
@@ -455,7 +455,7 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
 
         total_steps += 1
         delta_used = delta
-        p, used_unconstrained, q, norm = step_selection(buffer, factors, inv, g, u, gg, delta, gamma_perp)
+        p, used_unconstrained, q, norm = step_selection(buffer, factors, inv, g, u, gg, delta)
 
         x_trial = x + p
         if overlap:

@@ -329,11 +329,12 @@ def fd_check(
     Optimization*, section 8.1); on a quadratic a large step leaves only
     roundoff.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    # Written so that NaN fails it.
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h}")
     x = np.asarray(x, dtype=float)
     g = np.asarray(problem.eval_g(x), dtype=float)
-    worst = 0.0
+    deviations = np.empty(x.size)
     for i in range(x.size):
         hi = h * max(1.0, abs(x[i]))
         xp = x.copy()
@@ -341,5 +342,6 @@ def fd_check(
         xp[i] += hi
         xm[i] -= hi
         fd = (problem.eval_f(xp) - problem.eval_f(xm)) / (2.0 * hi)
-        worst = max(worst, abs(fd - g[i]) / max(1.0, abs(g[i])))
-    return worst
+        deviations[i] = abs(fd - g[i]) / max(1.0, abs(g[i]))
+    # Unlike the builtin max, a NaN deviation makes the result NaN.
+    return float(deviations.max(initial=0.0))

@@ -5,9 +5,9 @@ Usage, from the root of the repository:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/fingerprint.py > after.txt
 
 The sweep is the registry at n = 20, 200 and 1000 and ``sum(cos x)`` from
-four constant starts (``COSINE_STARTS``), each under four solver specs
+four constant starts (``COSINE_STARTS``), each under three solver specs
 (``SPECS``), plus ``ext_powell`` at n = 10^5 and ``ext_rosenbrock`` at
-n = 10^6: 150 solves.  The ``sum(cos x)`` solves reject their seed pair and
+n = 10^6: 113 solves.  The ``sum(cos x)`` solves reject their seed pair and
 take their first 3 or 4 steps with no pair stored, which no other solve of
 the sweep does.  Each line gives the solve, its status, total steps,
 accepted iterations, ``f_final.hex()``, the sha1 of ``x_final``'s bytes, the
@@ -54,7 +54,7 @@ import scipy
 import trlbfgs as t
 from trlbfgs.bench import parse_solver_spec
 
-SPECS = ("dense", "conventional", "dense:everywhere=false", "dense:c=2,lambda=1")
+SPECS = ("dense", "conventional", "dense:c=2,lambda=1")
 SIZES = (20, 200, 1000)
 # (n, x0) of the sum(cos x) solves, each from the constant start x0.
 COSINE_STARTS = ((10, 0.1), (10, 0.05), (50, 0.2), (7, -0.3))

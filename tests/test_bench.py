@@ -28,7 +28,7 @@ from trlbfgs.bench import (
 from trlbfgs.driver import SolverConfig
 from trlbfgs.problems import Problem, get
 
-DENSE_ID = "dense(c=1,lambda=0.5,everywhere=true)"
+DENSE_ID = "dense(c=1,lambda=0.5)"
 
 
 def record(problem, solver_id, iterations, status="converged", n=10):
@@ -119,13 +119,10 @@ def test_run_defaults_are_the_solver_config_defaults(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "spec,expected",
     [
-        ("conventional", ("conventional", {"conventional": True})),
-        ("dense", (DENSE_ID, {"c": 1.0, "lam": 0.5, "dense_everywhere": True})),
-        (
-            "dense:c=2,lambda=0.25,everywhere=FALSE",
-            ("dense(c=2,lambda=0.25,everywhere=false)", {"c": 2.0, "lam": 0.25, "dense_everywhere": False}),
-        ),
-        (" dense:lambda=1 ", ("dense(c=1,lambda=1,everywhere=true)", {"c": 1.0, "lam": 1.0, "dense_everywhere": True})),
+        ("conventional", ("conventional", {"lam": 0.0})),
+        ("dense", (DENSE_ID, {"c": 1.0, "lam": 0.5})),
+        ("dense:c=2,lambda=0.25", ("dense(c=2,lambda=0.25)", {"c": 2.0, "lam": 0.25})),
+        (" dense:lambda=1 ", ("dense(c=1,lambda=1)", {"c": 1.0, "lam": 1.0})),
     ],
 )
 def test_parse_solver_spec(spec, expected):
@@ -133,7 +130,8 @@ def test_parse_solver_spec(spec, expected):
 
 
 @pytest.mark.parametrize(
-    "spec", ["dense:everywhere=maybe", "dense:gamma=2", "dense:c=abc", "newton", "conventional:c=1"]
+    "spec",
+    ["dense:everywhere=maybe", "dense:everywhere=false", "dense:gamma=2", "dense:c=abc", "newton", "conventional:c=1"],
 )
 def test_parse_solver_spec_rejects(spec):
     with pytest.raises(ValueError):

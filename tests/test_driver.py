@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import os
@@ -15,6 +16,7 @@ import pytest
 import trlbfgs as t
 import trlbfgs.driver as driver
 import trlbfgs.pairs as pairs
+from trlbfgs.bench import parse_solver_spec
 from trlbfgs.driver import (
     CLOSED_NORM_MIN,
     ETA1,
@@ -146,7 +148,7 @@ def test_step_selection_unconstrained_for_tiny_gradient():
     def no_factors():
         raise AssertionError("the full step needs no spectral factorization")
 
-    choice = t.step_selection(buf, no_factors, inv, g, buf.vt_dot(g), float(g @ g), 1.0, gamma_perp)
+    choice = t.step_selection(buf, no_factors, inv, g, buf.vt_dot(g), float(g @ g), 1.0)
     assert choice.used_unconstrained
     assert choice.model_value < 0
     assert choice.norm == pytest.approx(np.linalg.norm(choice.p_star), rel=1e-12)
@@ -162,7 +164,7 @@ def test_step_selection_constrained_when_radius_shrinks():
     u, gg = buf.vt_dot(g), float(g @ g)
     pu_norm = t.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
     delta = 1e-3 * pu_norm
-    choice = t.step_selection(buf, lambda: fac, inv, g, u, gg, delta, gamma_perp)
+    choice = t.step_selection(buf, lambda: fac, inv, g, u, gg, delta)
     assert not choice.used_unconstrained
     # feasibility plus boundary activity in at least one block
     snorm = t.sc_norm(choice.p_star, fac, buf)
@@ -185,7 +187,7 @@ def test_step_selection_with_no_pair_stored_takes_the_scaled_identity_step():
 
     full_norm = g_norm / GAMMA0_PERP
     for delta in (2.0 * full_norm, full_norm, 0.5 * full_norm, 1e-3):
-        choice = t.step_selection(buf, no_factors, None, g, buf.vt_dot(g), gg, delta, GAMMA0_PERP)
+        choice = t.step_selection(buf, no_factors, None, g, buf.vt_dot(g), gg, delta)
         fits = full_norm <= delta
         expected = -g / GAMMA0_PERP if fits else (-delta / g_norm) * g
         assert choice.p_star.tobytes() == expected.tobytes()
@@ -195,16 +197,14 @@ def test_step_selection_with_no_pair_stored_takes_the_scaled_identity_step():
         assert choice.model_value == pytest.approx(g @ p + 0.5 * GAMMA0_PERP * (p @ p), rel=1e-14)
 
 
-def test_step_selection_everywhere_toggle_identical_when_scales_equal():
-    # lam = 0 makes gamma_perp equal gamma, so the toggle must not matter
-    prob = t.get("tridia", 30)
-    results = [
-        t.minimize(prob, prob.x0, t.SolverConfig(lam=0.0, dense_everywhere=everywhere))
-        for everywhere in (True, False)
-    ]
-    assert results[0].status == STATUS_CONVERGED
-    assert results[0].total_steps == results[1].total_steps
-    assert results[0].x_final.tobytes() == results[1].x_final.tobytes()
+def test_conventional_is_an_alias_for_lambda_zero():
+    # lam = 0 makes gamma_perp equal gamma, so the conventional method is
+    # one point of the two-scale family and the alias stores nothing.
+    assert t.SolverConfig(conventional=True) == t.SolverConfig(lam=0.0)
+    fields = [f.name for f in dataclasses.fields(t.SolverConfig)]
+    assert fields == ["m", "epsilon", "c", "lam", "max_iter", "keep_trace"]
+    configs = [t.SolverConfig(**parse_solver_spec(spec)[1]) for spec in ("conventional", "dense:lambda=0")]
+    assert configs[0] == configs[1] == t.SolverConfig(lam=0.0)
 
 
 def test_small_matrices_refresh_once_per_accepted_pair(monkeypatch):
@@ -428,8 +428,8 @@ def test_step_selection_reuses_u_and_gg_bitwise():
     pu_norm = t.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
     kinds = set()
     for delta in 4.0 * pu_norm * 0.25 ** np.arange(8):
-        reused = t.step_selection(buf, lambda: fac, inv, g, u, gg, delta, gamma_perp)
-        fresh = t.step_selection(buf, lambda: fac, inv, g, buf.vt_dot(g), float(g @ g), delta, gamma_perp)
+        reused = t.step_selection(buf, lambda: fac, inv, g, u, gg, delta)
+        fresh = t.step_selection(buf, lambda: fac, inv, g, buf.vt_dot(g), float(g @ g), delta)
         assert reused.p_star.tobytes() == fresh.p_star.tobytes()
         assert reused[1:] == fresh[1:]
         kinds.add(reused.used_unconstrained)
@@ -465,7 +465,7 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == traced
     here = threading.current_thread()
     assert ran["f"] and ran["S"] and here not in ran["f"] | ran["S"]
-    assert len(first) == (len(t.PROBLEM_NAMES) + len(fingerprint.COSINE_STARTS)) * len(fingerprint.SPECS) == 60
+    assert len(first) == (len(t.PROBLEM_NAMES) + len(fingerprint.COSINE_STARTS)) * len(fingerprint.SPECS) == 45
     assert len(traced) == 2 * len(first)
     assert all(len(line.split()) == 13 for line in first)
 

@@ -31,7 +31,7 @@ def test_n20_sweep_matches_the_recorded_fingerprint(capsys):
     header, recorded = _recorded()
     fingerprint.main(["--sizes", "20", "--no-large", "--keep-trace"])
     swept = capsys.readouterr().out.splitlines()
-    assert len(swept) == len(recorded) == 120, f"the sweep has {len(swept)} lines, the file {len(recorded)}"
+    assert len(swept) == len(recorded) == 90, f"the sweep has {len(swept)} lines, the file {len(recorded)}"
     # Each solve is a result line and its trace line.
     moved = [i for i in range(0, len(recorded), 2) if swept[i : i + 2] != recorded[i : i + 2]]
     if not moved:

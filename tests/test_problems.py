@@ -92,11 +92,25 @@ def test_fd_check_flags_broken_gradient():
     )
     x = good.x0 + 0.1
     assert fd_check(broken, x, 1e-6) > 1e-2
+    # A NaN entry must show in the result, not lose to a finite one.
+    quad = t.get("quad_diag", 4)
+
+    def nan_first(x):
+        g = quad.eval_g(x).copy()
+        g[0] = np.nan
+        return g
+
+    assert np.isnan(fd_check(t.Problem("nan_g", 4, quad.eval_f, nan_first, quad.x0), quad.x0))
 
 
 def test_fd_check_rejects_bad_step():
     with pytest.raises(ValueError):
         fd_check(t.get("quad_diag", 4), np.ones(4), h=0.0)
+    # A NaN step must not pass either: with it a zero gradient reported 0.0.
+    quad = t.get("quad_diag", 4)
+    zero_g = t.Problem("zero_g", 4, quad.eval_f, lambda x: np.zeros(4), quad.x0)
+    with pytest.raises(ValueError):
+        fd_check(zero_g, np.ones(4), h=np.nan)
 
 
 def test_problems_are_pure():

@@ -12,8 +12,9 @@ the fraction of problems it solved within factor tau of the best.
 ``--solvers`` and ``--problems`` take lists, as in ``bench run --solvers
 dense:c=2,lambda=1 conventional --problems ext_powell tridia``.  A solver
 spec is ``dense[:c=...,lambda=...]`` or ``conventional``, which is
-``dense:lambda=0`` under its own solver id, and ``--problems`` defaults to
-the whole registry.  Bad arguments, and a
+``dense:lambda=0``; a dense spec with ``lambda=0`` takes the solver id
+``conventional`` whatever its ``c``, so one solver is not run under two
+ids.  ``--problems`` defaults to the whole registry.  Bad arguments, and a
 ``records.json`` that ``bench profile`` cannot read or profile, are usage
 errors (exit status 2) reported before anything is solved or written.
 
@@ -102,7 +103,9 @@ def parse_solver_spec(spec: str) -> tuple[str, dict]:
                 lam = float(value)
             else:
                 raise ValueError(f"unknown solver option {key!r} in {spec!r}")
-        return f"dense(c={c:g},lambda={lam:g})", {"c": c, "lam": lam}
+        # At lam = 0 the scale is gamma whatever c is: the conventional method.
+        solver_id = "conventional" if lam == 0 else f"dense(c={c:g},lambda={lam:g})"
+        return solver_id, {"c": c, "lam": lam}
     raise ValueError(f"unknown solver spec {spec!r}")
 
 

@@ -21,20 +21,16 @@ reused by every rejected step that follows; the trial point ``x + p`` is
 formed once and becomes x on acceptance.  A run whose radius falls below the resolution of x,
 ``eps*max(1, ||x||)``, stops with status ``stalled``.
 
-The radius update reads a step's shape-changing norm only to pick a branch
-(below ``(ETA1/ETA2)*delta`` or not when ``rho < TAU2``, at least
-``ETA3*delta`` or not when ``rho >= TAU3``, none in between), so without a
-trace ``sc_norm`` measures it only where ``StepChoice.norm`` does not pick
-the branch.  For a full step that is its two-norm from the cheap test,
-which bounds the shape-changing norm above (``P = [P_par P_perp]`` is
-orthogonal) and picks the branch of ``rho >= TAU3`` when below
-``ETA3*delta``.  For a constrained step it is the closed form
-``max(||v_par||_inf, |beta| ||g_perp||)``, its norm in exact arithmetic,
-which picks either branch from ``CLOSED_NORM_MIN*delta`` = 0.9 delta: the
-measured norm would have to lie 11% below it to cross a threshold, and on
-the 22,459 constrained steps of the fingerprint sweep's registry solves the
-two differed by at most 6.4%.  Either way the radius is the one the
-measured norm gives, bit for bit.
+The radius update reads a step's shape-changing norm when ``rho < TAU2``
+or ``rho >= TAU3``, never in between.  A constrained step's radius reads
+``StepChoice.norm``, its norm in the closed form ``max(||v_par||_inf,
+|beta| ||g_perp||)``.  A full step's ``norm`` is its two-norm from the
+cheap test, an upper bound on the shape-changing norm (``P = [P_par
+P_perp]`` is orthogonal), which decides the radius when ``rho >= TAU3`` and
+it is below ``ETA3*delta``.  Where it cannot, ``sc_norm`` measures the
+norm (the two-norm with no pair stored).  A trace measures every step's norm into
+``IterationRecord.step_norm``, but the radius never reads a norm that only
+the trace measured, so a traced solve takes the same steps.
 
 When f and g at ``x0``, as ``minimize`` times them, each take at least
 ``OVERLAP_MIN_S`` and the solve has a second thread, f at each trial point
@@ -109,9 +105,6 @@ MAX_HALVINGS = 50
 # Time that f(x0) and g(x0) must each take before f runs on a second
 # thread while g is formed (module docstring).
 OVERLAP_MIN_S = 1.5e-3
-# Fraction of the radius from which a constrained step's norm picks the
-# radius update's branch unmeasured (module docstring).
-CLOSED_NORM_MIN = 0.9
 
 
 class LineSearchError(RuntimeError):
@@ -130,9 +123,10 @@ class SolverConfig:
     the conventional single-scale method.  ``conventional=True`` is an
     alias that sets ``lam`` to 0; it is not stored.  ``keep_trace``
     records one :class:`IterationRecord` per trial step; to fill in its
-    ``step_norm`` and ``rank`` it takes the shape-changing norm of every
-    step, and so the factorization after every accepted pair, which costs
-    time but changes no result.
+    ``step_norm`` and ``rank`` it measures the shape-changing norm of every
+    step, and so builds the factorization after every accepted pair.  That
+    costs time but changes no result, because the radius never reads a
+    norm that only the trace measured.
     """
 
     m: int = 5
@@ -160,6 +154,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One trial step of a traced solve.
+
+    ``delta`` is the radius the step was taken in, and ``rank`` the rank of
+    the spectral factorization, 0 for a step with no pair stored.
+    ``step_norm`` is the step's measured shape-changing norm, or its
+    two-norm with no pair stored; the radius reads it only for a full step
+    whose two-norm cannot decide it (module docstring).  ``f`` and
+    ``g_norm`` are at the iterate after the step.
+    """
+
     k: int
     delta: float
     rho: float
@@ -198,10 +202,9 @@ class SolverResult:
 
 class StepChoice(NamedTuple):
     """A trial step, whether it is the full quasi-Newton step, its model
-    value, and ``norm``, which stands in for its shape-changing norm where
-    the radius rule allows (module docstring): a full step's two-norm from
-    the cheap test, or a constrained step's closed form ``max(||v_par||_inf,
-    |beta| ||g_perp||)``."""
+    value, and ``norm``: a constrained step's shape-changing norm, in the
+    closed form ``max(||v_par||_inf, |beta| ||g_perp||)``, or a full step's
+    two-norm from the cheap test, an upper bound on it (module docstring)."""
 
     p_star: np.ndarray
     used_unconstrained: bool
@@ -475,18 +478,13 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
         rho = (f_trial - fx - shift) / (q - shift) if q < 0 else -math.inf
         if not math.isfinite(rho):
             rho = -math.inf
-        # The radius rule (module docstring); the norm is measured before
-        # an accepted pair changes the factorization, and with no pair
-        # stored it is the two-norm.
-        picked = (
-            rho >= TAU3 and norm < ETA3 * delta
-            if used_unconstrained
-            else norm >= CLOSED_NORM_MIN * delta
-        )
-        if config.keep_trace or not (TAU2 <= rho < TAU3 or picked):
+        # The radius rule (module docstring): where picked, StepChoice.norm
+        # decides the radius.  A norm is measured before an accepted pair
+        # changes the factorization, and with no pair stored it is the
+        # two-norm.
+        picked = not used_unconstrained or TAU2 <= rho < TAU3 or (rho >= TAU3 and norm < ETA3 * delta)
+        if config.keep_trace or not picked:
             step_norm = sc_norm(p, factors(), buffer) if buffer.count else float(np.linalg.norm(p))
-        else:
-            step_norm = norm
 
         accepted = rho >= TAU1
         if accepted:
@@ -514,7 +512,7 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
         # by one n-vector.
         del x_trial, g_trial
 
-        delta = radius_update(rho, step_norm, delta)
+        delta = radius_update(rho, norm if picked else step_norm, delta)
         if not delta >= eps * max(1.0, x_norm):
             # No step this short can move x (this also catches a NaN radius).
             status = STATUS_STALLED

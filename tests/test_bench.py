@@ -123,6 +123,9 @@ def test_run_defaults_are_the_solver_config_defaults(tmp_path, monkeypatch):
         ("dense", (DENSE_ID, {"c": 1.0, "lam": 0.5})),
         ("dense:c=2,lambda=0.25", ("dense(c=2,lambda=0.25)", {"c": 2.0, "lam": 0.25})),
         (" dense:lambda=1 ", ("dense(c=1,lambda=1)", {"c": 1.0, "lam": 1.0})),
+        # At lambda = 0 c has no effect, so the conventional id names the solver.
+        ("dense:lambda=0", ("conventional", {"c": 1.0, "lam": 0.0})),
+        ("dense:c=2,lambda=0", ("conventional", {"c": 2.0, "lam": 0.0})),
     ],
 )
 def test_parse_solver_spec(spec, expected):
@@ -159,6 +162,7 @@ def test_run_rejects_a_non_finite_solver_parameter_before_solving(tmp_path, caps
         (["--discard", "-1"], "discard must be at least 0, got -1"),
         (["--solvers", "dense", "dense:c=1"], f"[{DENSE_ID!r}, {DENSE_ID!r}]"),
         (["--problems", "arwhead", "tridia", "arwhead"], "['arwhead', 'tridia', 'arwhead']"),
+        (["--solvers", "conventional", "dense:lambda=0"], "['conventional', 'conventional']"),
     ],
 )
 def test_run_rejects_a_bad_argument_before_solving(tmp_path, capsys, monkeypatch, args, named):

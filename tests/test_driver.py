@@ -18,7 +18,6 @@ import trlbfgs.driver as driver
 import trlbfgs.pairs as pairs
 from trlbfgs.bench import parse_solver_spec
 from trlbfgs.driver import (
-    CLOSED_NORM_MIN,
     ETA1,
     ETA2,
     ETA3,
@@ -288,14 +287,13 @@ def test_v_transpose_g_is_formed_once_per_gradient_and_buffer_state(monkeypatch)
 def test_a_full_step_norm_is_skipped_only_where_it_leaves_the_radius(monkeypatch, conventional, n):
     # A full step's shape-changing norm is taken only when the radius
     # update can read it: rho < TAU2, or rho >= TAU3 with the two-norm from
-    # the cheap test at least ETA3*delta.  A constrained step's is taken
-    # only when rho < TAU2 or rho >= TAU3 and its closed form is below
-    # CLOSED_NORM_MIN*delta; otherwise the closed form stands in for it.
-    # A trace takes every norm, so each step the rules skip can be checked
-    # with its real norm, and the same solve without a trace must measure
-    # exactly the norms the rules keep.
+    # the cheap test at least ETA3*delta.  A constrained step's radius reads
+    # its closed form, so its norm is never taken without a trace.  A trace
+    # takes every norm, so each full step the rule skips can be checked with
+    # its real norm, and the same solve without a trace must measure exactly
+    # the norms the rule keeps.
     choices = []
-    norms = []
+    measured = []  # the index of the step each sc_norm call measured
     real_select = driver.step_selection
     real_sc_norm = driver.sc_norm
 
@@ -305,44 +303,75 @@ def test_a_full_step_norm_is_skipped_only_where_it_leaves_the_radius(monkeypatch
         return choice
 
     def counting_sc_norm(*args):
-        norms.append(None)
+        measured.append(len(choices) - 1)
         return real_sc_norm(*args)
 
     monkeypatch.setattr(driver, "step_selection", recording_select)
     monkeypatch.setattr(driver, "sc_norm", counting_sc_norm)
-    skipped = skipped_constrained = 0
+    skipped = constrained = 0
     for name in t.PROBLEM_NAMES:
         choices.clear()
         prob = t.get(name, n)
         res = t.minimize(prob, prob.x0, t.SolverConfig(conventional=conventional, keep_trace=True))
         assert res.status == STATUS_CONVERGED
         assert len(res.trace) == len(choices) == res.total_steps
-        kept = 0  # norms left to sc_norm; rank 0 marks a step with no pair stored
-        for rec, choice in zip(res.trace, choices):
+        kept = []  # steps left to sc_norm; rank 0 marks a step with no pair stored
+        for k, (rec, choice) in enumerate(zip(res.trace, choices)):
             norm = choice.norm
             if rec.step_type != "unconstrained":
-                in_band = TAU2 <= rec.rho < TAU3
-                if in_band or norm >= CLOSED_NORM_MIN * rec.delta:
-                    # Outside the band the closed form picks the branch.
-                    skipped_constrained += not in_band
-                    assert t.radius_update(rec.rho, norm, rec.delta) == t.radius_update(
-                        rec.rho, rec.step_norm, rec.delta
-                    )
-                else:
-                    kept += rec.rank > 0
+                constrained += 1
                 continue
             # ||p||_sc <= ||p||_2, up to round-off.
             assert rec.step_norm <= norm * (1.0 + 1e-12)
             if not (rec.rho < TAU2 or (rec.rho >= TAU3 and norm >= ETA3 * rec.delta)):
                 skipped += 1
                 assert t.radius_update(rec.rho, rec.step_norm, rec.delta) == rec.delta
-            else:
-                kept += rec.rank > 0
-        norms.clear()
+            elif rec.rank > 0:
+                kept.append(k)
+        choices.clear()
+        measured.clear()
         untraced = t.minimize(prob, prob.x0, t.SolverConfig(conventional=conventional))
-        assert (untraced.total_steps, len(norms)) == (res.total_steps, kept)
+        assert untraced.total_steps == res.total_steps
+        assert all(choices[k].used_unconstrained for k in measured)
+        assert measured == kept
     assert skipped > 0
-    assert skipped_constrained > 0
+    assert constrained > 0
+
+
+@pytest.mark.parametrize(
+    "spec,solves",
+    [(spec, [(name, 20) for name in t.PROBLEM_NAMES]) for spec in fingerprint.SPECS]
+    + [("dense:c=2,lambda=1", [("ext_powell", 1000)])],
+    ids=[*fingerprint.SPECS, "dense:c=2,lambda=1-ext_powell-1000"],
+)
+def test_a_constrained_step_radius_reads_its_closed_form_norm(monkeypatch, spec, solves):
+    # The radius after a constrained step is radius_update(rho, norm, delta)
+    # with the step's closed form, bit for bit, also under a trace, which
+    # measures the norm as well.  ext_powell at n = 1000 holds a step
+    # (rho < TAU2, norm about 0.48*delta) whose closed form and measured
+    # norm differ in their low bits.
+    choices = []
+    real_select = driver.step_selection
+
+    def recording_select(*args, **kwargs):
+        choice = real_select(*args, **kwargs)
+        choices.append(choice)
+        return choice
+
+    monkeypatch.setattr(driver, "step_selection", recording_select)
+    _, overrides = parse_solver_spec(spec)
+    constrained = 0
+    for name, n in solves:
+        choices.clear()
+        prob = t.get(name, n)
+        res = t.minimize(prob, prob.x0, t.SolverConfig(**overrides, keep_trace=True))
+        assert res.status == STATUS_CONVERGED
+        assert len(res.trace) == len(choices) == res.total_steps
+        for rec, following, choice in zip(res.trace, res.trace[1:], choices):
+            if rec.step_type == "constrained":
+                constrained += 1
+                assert following.delta == t.radius_update(rec.rho, choice.norm, rec.delta)
+    assert constrained > 0
 
 
 def test_accepted_trial_point_is_the_iterate_its_gradient_is_taken_at():

@@ -23,9 +23,10 @@ threads change the rounding of the dense products: ``ext_rosenbrock`` at
 n = 10^6 takes 50 steps with one OpenBLAS thread and 74 with two.  The
 count is fixed when numpy loads, so set ``OPENBLAS_NUM_THREADS`` (or
 ``OMP_NUM_THREADS``/``MKL_NUM_THREADS``) before starting ``bench``.
-``bench run`` records these variables, the library versions, the CPU count
-and the CPUs the process may run on (``nproc``) in the ``meta`` of
-``records.json``.
+``bench run`` records in the ``meta`` of ``records.json`` these variables,
+the CPU count, the CPUs the process may run on (``nproc``), and what the
+round-off depends on (``environment``): the library versions, numpy's and
+scipy's BLAS builds and the OpenBLAS core.
 
 In a process that may run on two CPUs or more, a solve has one second
 thread.  It splits the passes over the stored pairs by the rule of
@@ -36,6 +37,7 @@ single-threaded BLAS, and the results are bitwise those of the serial path.
 
 import argparse
 import csv
+import ctypes
 import json
 import os
 import platform
@@ -48,6 +50,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy
 
+from . import pairs
 from .driver import STATUS_CONVERGED, SolverConfig, minimize
 from .problems import PROBLEM_NAMES, Problem, get
 
@@ -59,6 +62,7 @@ __all__ = [
     "write_profile",
     "load_records",
     "parse_solver_spec",
+    "environment",
     "main",
 ]
 
@@ -91,18 +95,17 @@ def parse_solver_spec(spec: str) -> tuple[str, dict]:
     if spec == "conventional":
         return "conventional", {"lam": 0.0}
     if spec == "dense" or spec.startswith("dense:"):
-        c, lam = SolverConfig.c, SolverConfig.lam
+        given = {}
         body = spec[len("dense:"):] if spec.startswith("dense:") else ""
         for item in (s for s in body.split(",") if s):
             key, _, value = item.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key == "c":
-                c = float(value)
-            elif key == "lambda":
-                lam = float(value)
-            else:
+            if key not in ("c", "lambda"):
                 raise ValueError(f"unknown solver option {key!r} in {spec!r}")
+            if key in given:
+                raise ValueError(f"solver option {key!r} given twice in {spec!r}")
+            given[key] = float(value.strip())
+        c, lam = given.get("c", SolverConfig.c), given.get("lambda", SolverConfig.lam)
         # At lam = 0 the scale is gamma whatever c is: the conventional method.
         solver_id = "conventional" if lam == 0 else f"dense(c={c:g},lambda={lam:g})"
         return solver_id, {"c": c, "lam": lam}
@@ -260,15 +263,43 @@ def load_records(path) -> list[RunRecord]:
         raise ValueError(f"not a list of bench records: {exc!r}") from None
 
 
-def _environment() -> dict:
-    """What step counts and times depend on besides the code; unset variables are None."""
+def _blas(config) -> str:
+    """Name and version of the BLAS a package was built against."""
+    try:
+        deps = config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{deps.get('name')} {deps.get('version')}"
+
+
+def _openblas_core() -> str:
+    """The kernel set numpy's bundled OpenBLAS chose for this CPU when it loaded, or ``unknown``."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def environment() -> dict[str, str]:
+    """What a solve's round-off depends on besides the code.
+
+    numpy's and scipy's versions fix their summation and SIMD loops, each
+    package's BLAS its dot products and LAPACK calls, and the OpenBLAS core
+    the kernels it runs on this CPU.  The BLAS thread count is left out: the
+    n = 20 sweep of ``tests/fingerprint.py`` prints the same lines with one
+    thread, two, or unset.
+    """
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
-        "cpu_count": os.cpu_count(),
-        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "numpy_blas": _blas(np.show_config),
+        "scipy_blas": _blas(scipy.show_config),
+        "blas_core": _openblas_core(),
     }
 
 
@@ -308,7 +339,13 @@ def _cmd_run(args) -> int:
         "problems": args.problems,
         "solver_specs": args.solvers,
         "solver_config_base": base,
-        "environment": _environment(),
+        # Unset thread variables are None.
+        "environment": {
+            **environment(),
+            "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
+            "cpu_count": os.cpu_count(),
+            "nproc": pairs._usable_cpus(),
+        },
     }
     paths = write_records(records, args.out, meta)
     for r in records:

@@ -8,14 +8,15 @@ closed form.  Acceptance and radius updates follow the classical ratio
 test, with the step measured in the shape-changing norm.
 
 Each quantity is computed at most once per state it depends on.  What
-depends only on the stored pairs is refreshed when a pair is accepted: the
-scales gamma and gamma_perp and the compact inverse at once, because the
-cheap test of every step reads them, and the spectral factorization on its
-first need, because only the constrained solve and the shape-changing norm
-read it.  Until the first pair is stored B is ``GAMMA0_PERP*I``, and the
-step and its norm are taken without either.  gamma comes from the newest
-pair's Gram entries, and its one running maximum is both the formula's
-``gamma_max`` and the result's ``max_gamma``.  What depends on the gradient
+depends only on the stored pairs is refreshed when a pair is stored: the
+scales gamma and gamma_perp at once, the compact inverse before the next
+step, because the cheap test of every step reads it, and the spectral
+factorization on its first need, because only the constrained solve and
+the shape-changing norm read it.  Until the first pair is stored B is
+``GAMMA0_PERP*I``, and the step and its norm are taken without either.
+gamma comes from the newest pair's Gram entries, and its one running
+maximum is both the formula's ``gamma_max`` and the result's
+``max_gamma``.  What depends on the gradient
 as well, ``g^T g`` and ``V^T g``, is formed once per accepted step and
 reused by every rejected step that follows; the trial point ``x + p`` is
 formed once and becomes x on acceptance.  A run whose radius falls below the resolution of x,
@@ -179,11 +180,22 @@ class IterationRecord:
 
 @dataclass
 class SolverResult:
-    """Outcome of :func:`minimize`; ``g_norm_final`` is the two-norm of the final gradient.
+    """Outcome of :func:`minimize`.
 
-    ``max_gamma`` is the largest ``gamma`` of a stored pair, 0.0 if no pair is stored.
-    ``g_evals`` counts the gradients the method used; a gradient formed at a
-    rejected trial point, beside f on a second thread, is not counted.
+    ``x_final``, ``f_final`` and ``g_norm_final`` are the last iterate, f
+    there and the two-norm of g there.  ``iterations`` counts the accepted
+    trust-region steps and ``total_steps`` every trial step, rejected ones
+    included; neither counts the seed step.  ``f_evals`` and ``g_evals``
+    count the evaluations, those at ``x0`` and in the seed search included;
+    a gradient formed at a rejected trial point, beside f on a second
+    thread, is not counted.  ``status`` says why the run stopped:
+    ``converged``, ``max_iter``, ``stalled`` or ``numerical_failure``.
+    ``max_gamma`` and ``max_gamma_perp`` are the largest ``gamma`` and
+    ``gamma_perp`` of a pair stored in the run, evicted ones included, each
+    taken when its pair is stored; both are 0.0 if no pair was stored.
+    ``pair_rejections`` counts the pairs that failed the buffer's
+    acceptance test, and ``trace`` holds one :class:`IterationRecord` per
+    trial step under ``keep_trace``, else nothing.
     """
 
     x_final: np.ndarray
@@ -365,8 +377,21 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
     buffer = PairBuffer(n, config.m, pool)
 
     trace: list[IterationRecord] = []
-    max_gamma = 0.0
-    max_gamma_perp = 0.0
+    # Both scales are GAMMA0_PERP until a pair is stored; the maxima range
+    # over the stored pairs only.
+    gamma = gamma_perp = GAMMA0_PERP
+    max_gamma = max_gamma_perp = 0.0
+
+    def push(s, y) -> bool:
+        # buffer.try_push(s, y), and the scales of a pair it stores.
+        nonlocal gamma, gamma_perp, max_gamma, max_gamma_perp
+        stored = buffer.try_push(s, y)
+        if stored:
+            gamma = float(buffer.gram_YY[-1, -1]) / float(buffer.gram_SY[-1, -1])
+            max_gamma = max(max_gamma, gamma)
+            gamma_perp = perp_scale(config.c, config.lam, gamma, max_gamma)
+            max_gamma_perp = max(max_gamma_perp, gamma_perp)
+        return stored
 
     def result(status, fx, g, iterations, total_steps, f_evals, g_evals):
         return SolverResult(
@@ -409,7 +434,7 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
     g_evals += 1
     if not np.all(np.isfinite(g1)):
         return result(STATUS_FAILED, fx, g, 0, 0, f_evals, g_evals)
-    buffer.try_push(x1 - x, g1 - g)
+    push(x1 - x, g1 - g)
     x, fx, g = x1, f1, g1
     # From here on the seed point lives only as x and g, which later steps
     # replace; names kept for the whole run would hold two n-vectors.
@@ -440,24 +465,16 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
             status = STATUS_CONVERGED
             break
         if factors_stale:
-            # Everything below depends only on the stored pairs; max_gamma,
-            # the largest pair gamma so far, is the formula's gamma_max.
-            if buffer.count:
-                gamma = float(buffer.gram_YY[-1, -1]) / float(buffer.gram_SY[-1, -1])
-                max_gamma = max(max_gamma, gamma)
-                gamma_perp = perp_scale(config.c, config.lam, gamma, max_gamma)
-                inv = build_inverse(buffer, gamma, gamma_perp)
-            else:
-                gamma = gamma_perp = GAMMA0_PERP
-                inv = None
-            max_gamma_perp = max(max_gamma_perp, gamma_perp)
+            # The compact inverse now, the factorization on first need.
+            inv = build_inverse(buffer, gamma, gamma_perp) if buffer.count else None
             fac = None
             factors_stale = False
         if u is None:
             u = buffer.vt_dot(g)
 
         total_steps += 1
-        delta_used = delta
+        # What the step is taken with; an accepted pair changes the scales.
+        delta_used, gamma_used, gamma_perp_used = delta, gamma, gamma_perp
         p, used_unconstrained, q, norm = step_selection(buffer, factors, inv, g, u, gg, delta)
 
         x_trial = x + p
@@ -502,7 +519,7 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
                 status = STATUS_FAILED
                 break
             # The refresh at the top of the loop cleared the flag.
-            factors_stale = buffer.try_push(p, g_new - g)
+            factors_stale = push(p, g_new - g)
             x, fx, g, gg = x_trial, f_trial, g_new, gg_new
             x_norm = math.sqrt(float(x @ x))
             u = None
@@ -525,8 +542,8 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
                     delta=delta_used,
                     rho=rho,
                     step_type="unconstrained" if used_unconstrained else "constrained",
-                    gamma=gamma,
-                    gamma_perp=gamma_perp,
+                    gamma=gamma_used,
+                    gamma_perp=gamma_perp_used,
                     # fac is None only for a step taken with no pair stored.
                     rank=0 if fac is None else fac.rank,
                     accepted=accepted,

@@ -26,7 +26,7 @@ entries and the sha1 of all their fields (floats as ``float.hex``), so the
 check covers ``rho``, ``step_norm``, ``rank`` and ``accepted`` as well.
 Without its ``trace`` lines that output must equal the output without the
 flag.  ``--header`` first prints ``# key value`` lines naming the
-environment that rounded the sweep (``environment``).
+environment that rounded the sweep (``trlbfgs.bench.environment``).
 
 ``fingerprint_n20.txt`` beside this file records the n = 20 sweep with its
 trace lines and that header, made with
@@ -40,19 +40,16 @@ can be read.  pytest does not collect this file; ``test_driver.py`` and
 """
 
 import argparse
-import ctypes
 import dataclasses
 import hashlib
 import os
-import platform
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 import trlbfgs as t
-from trlbfgs.bench import parse_solver_spec
+from trlbfgs.bench import environment, parse_solver_spec
 
 SPECS = ("dense", "conventional", "dense:c=2,lambda=1")
 SIZES = (20, 200, 1000)
@@ -60,45 +57,6 @@ SIZES = (20, 200, 1000)
 COSINE_STARTS = ((10, 0.1), (10, 0.05), (50, 0.2), (7, -0.3))
 LARGE = (("ext_powell", 10**5), ("ext_rosenbrock", 10**6))
 RECORDED = Path(__file__).with_name("fingerprint_n20.txt")
-
-
-def _blas(config) -> str:
-    """Name and version of the BLAS a package was built against."""
-    try:
-        deps = config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return "unknown"
-    return f"{deps.get('name')} {deps.get('version')}"
-
-
-def _openblas_core() -> str:
-    """The kernel set numpy's bundled OpenBLAS chose for this CPU when it loaded, or ``unknown``."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
-        lib = ctypes.CDLL(str(path))
-        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
-            corename = getattr(lib, symbol, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return "unknown"
-
-
-def environment() -> dict[str, str]:
-    """What the sweep's round-off depends on besides the code.
-
-    numpy's and scipy's versions fix their summation and SIMD loops, each
-    package's BLAS its dot products and LAPACK calls, and the OpenBLAS core
-    the kernels it runs on this CPU.  The BLAS thread count is left out: the
-    n = 20 sweep prints the same lines with one thread, two, or unset.
-    """
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "numpy_blas": _blas(np.show_config),
-        "scipy_blas": _blas(scipy.show_config),
-        "blas_core": _openblas_core(),
-    }
 
 
 def cosine_sum(n: int, x0: float) -> t.Problem:

@@ -10,7 +10,8 @@ which the production modules bypass.
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-import trlbfgs as t
+import trlbfgs.spectral as spectral
+from trlbfgs.pairs import PairBuffer
 
 C3 = 1e-8
 
@@ -50,7 +51,7 @@ def dense_compact(S, Y, gamma):
 def explicit_P_par(fac, buffer):
     """Materialize the retained orthonormal basis column by column."""
     return np.column_stack(
-        [t.apply_P_par(fac, buffer, e) for e in np.eye(fac.rank)]
+        [spectral.apply_P_par(fac, buffer, e) for e in np.eye(fac.rank)]
     )
 
 
@@ -85,7 +86,7 @@ def quadratic_pairs(rng, n, count, spread=(0.5, 3.0)):
 
 
 def fill_buffer(rng, n, count, m=None, pairs=None):
-    buf = t.PairBuffer(n, m if m is not None else count)
+    buf = PairBuffer(n, m if m is not None else count)
     for s, y in pairs if pairs is not None else random_pairs(rng, n, count):
         assert buf.try_push(s, y)
     return buf
@@ -113,7 +114,7 @@ def scipy_inverse_middle(buffer, gamma, gamma_perp, gram_pinv=False):
     if alpha != 0.0 and gram_pinv:
         d = np.sqrt(np.diag(VtV))
         w, Q = np.linalg.eigh(VtV / np.outer(d, d))
-        keep = w > t.spectral.EPS_R
+        keep = w > spectral.EPS_R
         Qk = Q[:, keep] / d[:, None]
         M_hat += alpha * ((Qk / w[keep]) @ Qk.T)
     elif alpha != 0.0:

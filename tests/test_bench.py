@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import trlbfgs
-from trlbfgs import bench
+from trlbfgs import bench, pairs
 from trlbfgs.bench import (
     BLAS_THREAD_VARS,
     TAU_GRID,
@@ -58,7 +58,11 @@ def test_run_then_profile_round_trip(tmp_path, capsys):
     env = meta["environment"]
     assert env["numpy"] == np.__version__
     assert set(env["blas_threads"]) == set(BLAS_THREAD_VARS)
-    assert {"python", "scipy", "cpu_count", "nproc"} <= set(env)
+    # What rounds a solve, under the fingerprint header's keys, and the CPUs.
+    rounding = bench.environment()
+    assert {"numpy_blas", "scipy_blas", "blas_core"} <= set(rounding)
+    cpus = {"cpu_count": os.cpu_count(), "nproc": pairs._usable_cpus()}
+    assert env == {**rounding, "blas_threads": env["blas_threads"], **cpus}
     records = payload["records"]
     assert {(r["problem"], r["solver_id"]) for r in records} == {
         (p, s) for p in ("arwhead", "dqrtic") for s in (DENSE_ID, "conventional")
@@ -134,7 +138,10 @@ def test_parse_solver_spec(spec, expected):
 
 @pytest.mark.parametrize(
     "spec",
-    ["dense:everywhere=maybe", "dense:everywhere=false", "dense:gamma=2", "dense:c=abc", "newton", "conventional:c=1"],
+    [
+        "dense:everywhere=maybe", "dense:everywhere=false", "dense:gamma=2", "dense:c=abc", "newton",
+        "conventional:c=1", "dense:lambda=0.3,lambda=0.5", "dense:c=1,c=2",
+    ],
 )
 def test_parse_solver_spec_rejects(spec):
     with pytest.raises(ValueError):

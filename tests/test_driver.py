@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 import trlbfgs as t
+import trlbfgs.denseinit as denseinit
 import trlbfgs.driver as driver
 import trlbfgs.pairs as pairs
+import trlbfgs.spectral as spectral
 from trlbfgs.bench import parse_solver_spec
 from trlbfgs.driver import (
     ETA1,
@@ -50,6 +52,19 @@ def force_overlap(monkeypatch):
     """Compute f on a second thread while g is formed at every trial point."""
     monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(driver, "OVERLAP_MIN_S", 0.0)
+
+
+def record_choices(monkeypatch) -> list:
+    """The StepChoice of every trial step the driver takes, in order."""
+    choices = []
+    real_select = driver.step_selection
+
+    def recording_select(*args, **kwargs):
+        choices.append(real_select(*args, **kwargs))
+        return choices[-1]
+
+    monkeypatch.setattr(driver, "step_selection", recording_select)
+    return choices
 
 
 def force_threads(monkeypatch):
@@ -112,7 +127,7 @@ def test_radius_update_case_table():
         rho = float(rng.uniform(-1.5, 2.0))
         snorm = float(rng.uniform(0.0, 3.0))
         delta = float(rng.uniform(1e-3, 2.0))
-        new = t.radius_update(rho, snorm, delta)
+        new = driver.radius_update(rho, snorm, delta)
         if rho < TAU2:
             assert new == min(ETA1 * delta, ETA2 * snorm)
             assert new <= ETA1 * delta and new <= ETA2 * snorm
@@ -124,30 +139,41 @@ def test_radius_update_case_table():
 
 def test_rejected_step_shrinks_by_trial_norm():
     # rho below tau2: radius becomes min(eta1*delta, eta2*||s||)
-    assert t.radius_update(-0.5, 0.1, 1.0) == pytest.approx(min(0.25, 0.05))
-    assert t.radius_update(0.1, 2.0, 1.0) == pytest.approx(0.25)
+    assert driver.radius_update(-0.5, 0.1, 1.0) == pytest.approx(min(0.25, 0.05))
+    assert driver.radius_update(0.1, 2.0, 1.0) == pytest.approx(0.25)
 
 
-def test_trace_radius_sequence_is_consistent():
+def test_trace_radius_sequence_is_consistent(monkeypatch):
+    # Each radius follows the rule of the driver's module docstring from
+    # the step before it, bit for bit: the step's StepChoice.norm where the
+    # rule picks it (every constrained step, and a full step whose two-norm
+    # decides the radius), else its measured norm.
+    choices = record_choices(monkeypatch)
     prob = t.get("tridia", 30)
     cfg = t.SolverConfig(keep_trace=True, max_iter=200)
     res = t.minimize(prob, prob.x0, cfg)
-    for prev, cur in zip(res.trace, res.trace[1:]):
-        expected = t.radius_update(prev.rho, prev.step_norm, prev.delta)
-        assert cur.delta == pytest.approx(expected, rel=1e-15)
+    assert len(choices) == len(res.trace)
+    seen = set()  # (step type, picked) of the steps checked
+    for prev, cur, choice in zip(res.trace, res.trace[1:], choices):
+        rho, delta = prev.rho, prev.delta
+        decides = TAU2 <= rho < TAU3 or (rho >= TAU3 and choice.norm < ETA3 * delta)
+        picked = not choice.used_unconstrained or decides
+        assert cur.delta == driver.radius_update(rho, choice.norm if picked else prev.step_norm, delta)
+        seen.add((prev.step_type, picked))
+    assert {("constrained", True), ("unconstrained", True), ("unconstrained", False)} <= seen
 
 
 def test_step_selection_unconstrained_for_tiny_gradient():
     rng = np.random.default_rng(51)
     buf = fill_buffer(rng, 12, 3)
     gamma, gamma_perp = 1.5, 2.0
-    inv = t.build_inverse(buf, gamma, gamma_perp)
+    inv = denseinit.build_inverse(buf, gamma, gamma_perp)
     g = 1e-8 * rng.standard_normal(12)
 
     def no_factors():
         raise AssertionError("the full step needs no spectral factorization")
 
-    choice = t.step_selection(buf, no_factors, inv, g, buf.vt_dot(g), float(g @ g), 1.0)
+    choice = driver.step_selection(buf, no_factors, inv, g, buf.vt_dot(g), float(g @ g), 1.0)
     assert choice.used_unconstrained
     assert choice.model_value < 0
     assert choice.norm == pytest.approx(np.linalg.norm(choice.p_star), rel=1e-12)
@@ -157,16 +183,16 @@ def test_step_selection_constrained_when_radius_shrinks():
     rng = np.random.default_rng(52)
     buf = fill_buffer(rng, 12, 3)
     gamma, gamma_perp = 1.5, 2.0
-    fac = t.factorize(buf, gamma)
+    fac = spectral.factorize(buf, gamma)
     g = rng.standard_normal(12)
-    inv = t.build_inverse(buf, gamma, gamma_perp)
+    inv = denseinit.build_inverse(buf, gamma, gamma_perp)
     u, gg = buf.vt_dot(g), float(g @ g)
-    pu_norm = t.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
+    pu_norm = denseinit.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
     delta = 1e-3 * pu_norm
-    choice = t.step_selection(buf, lambda: fac, inv, g, u, gg, delta)
+    choice = driver.step_selection(buf, lambda: fac, inv, g, u, gg, delta)
     assert not choice.used_unconstrained
     # feasibility plus boundary activity in at least one block
-    snorm = t.sc_norm(choice.p_star, fac, buf)
+    snorm = spectral.sc_norm(choice.p_star, fac, buf)
     assert snorm <= delta + 1e-10
     assert snorm == pytest.approx(delta, rel=1e-9)
     # The closed form max(||v_par||_inf, |beta| ||g_perp||) is on the boundary.
@@ -176,7 +202,7 @@ def test_step_selection_constrained_when_radius_shrinks():
 def test_step_selection_with_no_pair_stored_takes_the_scaled_identity_step():
     # With no pair stored B is GAMMA0_PERP*I: the full step -g/GAMMA0_PERP
     # when it fits, else the steepest-descent step to the boundary.
-    buf = t.PairBuffer(6, 3)
+    buf = pairs.PairBuffer(6, 3)
     g = np.array([0.3, -1.2, 0.5, 2.0, -0.7, 0.1])
     gg = float(g @ g)
     g_norm = float(np.linalg.norm(g))
@@ -186,7 +212,7 @@ def test_step_selection_with_no_pair_stored_takes_the_scaled_identity_step():
 
     full_norm = g_norm / GAMMA0_PERP
     for delta in (2.0 * full_norm, full_norm, 0.5 * full_norm, 1e-3):
-        choice = t.step_selection(buf, no_factors, None, g, buf.vt_dot(g), gg, delta)
+        choice = driver.step_selection(buf, no_factors, None, g, buf.vt_dot(g), gg, delta)
         fits = full_norm <= delta
         expected = -g / GAMMA0_PERP if fits else (-delta / g_norm) * g
         assert choice.p_star.tobytes() == expected.tobytes()
@@ -213,7 +239,7 @@ def test_small_matrices_refresh_once_per_accepted_pair(monkeypatch):
     # once per state, and only where a constrained step or a norm needs it.
     pushes = 0
     states = {"step_selection": [], "factorize": [], "build_inverse": []}
-    real_push = t.PairBuffer.try_push
+    real_push = pairs.PairBuffer.try_push
 
     def counting_push(self, s, y):
         nonlocal pushes
@@ -230,7 +256,7 @@ def test_small_matrices_refresh_once_per_accepted_pair(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(t.PairBuffer, "try_push", counting_push)
+    monkeypatch.setattr(pairs.PairBuffer, "try_push", counting_push)
     for name in states:
         monkeypatch.setattr(driver, name, recording(name))
     prob = t.get("ext_powell", 40)
@@ -248,7 +274,7 @@ def test_v_transpose_g_is_formed_once_per_gradient_and_buffer_state(monkeypatch)
     # g and the pairs change only when a step is accepted, so a rejected
     # step reuses V^T g; the only other product is sc_norm's, once per step.
     vt_dots = 0
-    real_vt_dot = t.PairBuffer.vt_dot
+    real_vt_dot = pairs.PairBuffer.vt_dot
 
     def counting_vt_dot(self, x):
         nonlocal vt_dots
@@ -270,7 +296,7 @@ def test_v_transpose_g_is_formed_once_per_gradient_and_buffer_state(monkeypatch)
         norms_with_basis += fac.rank > 0  # at rank 0 sc_norm needs no V^T p
         return real_sc_norm(p, fac, buffer)
 
-    monkeypatch.setattr(t.PairBuffer, "vt_dot", counting_vt_dot)
+    monkeypatch.setattr(pairs.PairBuffer, "vt_dot", counting_vt_dot)
     monkeypatch.setattr(driver, "step_selection", recording_select)
     monkeypatch.setattr(driver, "sc_norm", counting_sc_norm)
     prob = t.get("ext_powell", 40)
@@ -292,21 +318,14 @@ def test_a_full_step_norm_is_skipped_only_where_it_leaves_the_radius(monkeypatch
     # takes every norm, so each full step the rule skips can be checked with
     # its real norm, and the same solve without a trace must measure exactly
     # the norms the rule keeps.
-    choices = []
+    choices = record_choices(monkeypatch)
     measured = []  # the index of the step each sc_norm call measured
-    real_select = driver.step_selection
     real_sc_norm = driver.sc_norm
-
-    def recording_select(*args, **kwargs):
-        choice = real_select(*args, **kwargs)
-        choices.append(choice)
-        return choice
 
     def counting_sc_norm(*args):
         measured.append(len(choices) - 1)
         return real_sc_norm(*args)
 
-    monkeypatch.setattr(driver, "step_selection", recording_select)
     monkeypatch.setattr(driver, "sc_norm", counting_sc_norm)
     skipped = constrained = 0
     for name in t.PROBLEM_NAMES:
@@ -325,7 +344,7 @@ def test_a_full_step_norm_is_skipped_only_where_it_leaves_the_radius(monkeypatch
             assert rec.step_norm <= norm * (1.0 + 1e-12)
             if not (rec.rho < TAU2 or (rec.rho >= TAU3 and norm >= ETA3 * rec.delta)):
                 skipped += 1
-                assert t.radius_update(rec.rho, rec.step_norm, rec.delta) == rec.delta
+                assert driver.radius_update(rec.rho, rec.step_norm, rec.delta) == rec.delta
             elif rec.rank > 0:
                 kept.append(k)
         choices.clear()
@@ -350,15 +369,7 @@ def test_a_constrained_step_radius_reads_its_closed_form_norm(monkeypatch, spec,
     # measures the norm as well.  ext_powell at n = 1000 holds a step
     # (rho < TAU2, norm about 0.48*delta) whose closed form and measured
     # norm differ in their low bits.
-    choices = []
-    real_select = driver.step_selection
-
-    def recording_select(*args, **kwargs):
-        choice = real_select(*args, **kwargs)
-        choices.append(choice)
-        return choice
-
-    monkeypatch.setattr(driver, "step_selection", recording_select)
+    choices = record_choices(monkeypatch)
     _, overrides = parse_solver_spec(spec)
     constrained = 0
     for name, n in solves:
@@ -370,7 +381,7 @@ def test_a_constrained_step_radius_reads_its_closed_form_norm(monkeypatch, spec,
         for rec, following, choice in zip(res.trace, res.trace[1:], choices):
             if rec.step_type == "constrained":
                 constrained += 1
-                assert following.delta == t.radius_update(rec.rho, choice.norm, rec.delta)
+                assert following.delta == driver.radius_update(rec.rho, choice.norm, rec.delta)
     assert constrained > 0
 
 
@@ -449,16 +460,16 @@ def test_step_selection_reuses_u_and_gg_bitwise():
     rng = np.random.default_rng(53)
     buf = fill_buffer(rng, 12, 3)
     gamma, gamma_perp = 1.5, 2.0
-    fac = t.factorize(buf, gamma)
-    inv = t.build_inverse(buf, gamma, gamma_perp)
+    fac = spectral.factorize(buf, gamma)
+    inv = denseinit.build_inverse(buf, gamma, gamma_perp)
     g = rng.standard_normal(12)
     u, gg = buf.vt_dot(g), float(g @ g)
     u_bytes = u.tobytes()
-    pu_norm = t.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
+    pu_norm = denseinit.unconstrained_norm(inv, gg, u, inv.M_hat @ u)
     kinds = set()
     for delta in 4.0 * pu_norm * 0.25 ** np.arange(8):
-        reused = t.step_selection(buf, lambda: fac, inv, g, u, gg, delta)
-        fresh = t.step_selection(buf, lambda: fac, inv, g, buf.vt_dot(g), float(g @ g), delta)
+        reused = driver.step_selection(buf, lambda: fac, inv, g, u, gg, delta)
+        fresh = driver.step_selection(buf, lambda: fac, inv, g, buf.vt_dot(g), float(g @ g), delta)
         assert reused.p_star.tobytes() == fresh.p_star.tobytes()
         assert reused[1:] == fresh[1:]
         kinds.add(reused.used_unconstrained)
@@ -744,7 +755,7 @@ def test_initial_step_full_on_quadratic():
     prob = sphere(4)
     x0 = np.zeros(4)
     x0[0] = 1.0
-    step = t.initial_point_step(prob, x0, prob.eval_f(x0), prob.eval_g(x0))
+    step = driver.initial_point_step(prob, x0, prob.eval_f(x0), prob.eval_g(x0))
     # t = 1 along -g/||g|| lands at the origin
     assert np.abs(step.x1).max() <= 1e-15
     assert step.f_evals == 1
@@ -758,14 +769,14 @@ def test_initial_step_halves_on_cliff():
         return np.array([2.0 * x[0] + 40.0 * x[0] ** 3])
 
     prob = t.Problem("cliff", 1, f, g, np.array([0.5]))
-    step = t.initial_point_step(prob, prob.x0, prob.eval_f(prob.x0), prob.eval_g(prob.x0))
+    step = driver.initial_point_step(prob, prob.x0, prob.eval_f(prob.x0), prob.eval_g(prob.x0))
     assert step.f_evals == 2  # t = 1 fails (even function), t = 1/2 lands at 0
     assert abs(step.x1[0]) <= 1e-15
 
 
 def test_initial_step_rejects_zero_gradient():
     with pytest.raises(ValueError):
-        t.initial_point_step(sphere(3), np.zeros(3), 0.0, np.zeros(3))
+        driver.initial_point_step(sphere(3), np.zeros(3), 0.0, np.zeros(3))
 
 
 def test_line_search_failure_is_numerical_failure():
@@ -835,9 +846,18 @@ def test_hypothesis_observables_reported():
 
 
 @pytest.mark.parametrize("conventional", [False, True], ids=["dense", "conventional"])
-def test_steps_before_the_first_stored_pair_use_the_fallback_scale(conventional):
+def test_steps_before_the_first_stored_pair_use_the_fallback_scale(monkeypatch, conventional):
     # The seed pair of sum(cos(x)) from x = 0.1 has negative curvature and is
     # rejected, so the first steps (3 of 8) are taken with no pair stored.
+    # perp_scale runs once for each stored pair, on its gamma.
+    scales = []  # (gamma, gamma_perp) of each stored pair
+    real_perp_scale = driver.perp_scale
+
+    def recording_perp_scale(c, lam, gamma, gamma_max):
+        scales.append((gamma, real_perp_scale(c, lam, gamma, gamma_max)))
+        return scales[-1][1]
+
+    monkeypatch.setattr(driver, "perp_scale", recording_perp_scale)
     prob = fingerprint.cosine_sum(10, 0.1)
     res = t.minimize(prob, prob.x0, t.SolverConfig(conventional=conventional, keep_trace=True))
     assert res.status == STATUS_CONVERGED
@@ -846,8 +866,21 @@ def test_steps_before_the_first_stored_pair_use_the_fallback_scale(conventional)
     empty = [rec for rec in res.trace if rec.rank == 0]
     assert empty
     assert all(rec.gamma == rec.gamma_perp == GAMMA0_PERP for rec in empty)
-    # max_gamma ranges over the stored pairs only, not over the fallback.
-    assert res.max_gamma == max(rec.gamma for rec in res.trace if rec.rank > 0) < GAMMA0_PERP
+    assert {(rec.gamma, rec.gamma_perp) for rec in res.trace if rec.rank > 0} <= set(scales)
+    # Both maxima range over the stored pairs, the last one included, and
+    # not over the fallback.
+    assert res.max_gamma == max(gamma for gamma, _ in scales) < GAMMA0_PERP
+    assert res.max_gamma_perp == max(gamma_perp for _, gamma_perp in scales) < GAMMA0_PERP
+
+
+def test_a_solve_that_stops_after_its_seed_step_reports_the_seed_pair():
+    # From e1 the seed step lands on the minimizer of 0.5*||x||^2, so the
+    # solve stops before its first trust-region step with one pair stored.
+    prob = sphere(4)
+    res = t.minimize(prob, np.eye(4)[0])
+    assert res.status == STATUS_CONVERGED
+    assert res.total_steps == res.iterations == res.pair_rejections == 0
+    assert res.max_gamma == res.max_gamma_perp == 1.0
 
 
 def test_gamma_is_the_curvature_ratio_of_the_newest_pair(monkeypatch):
@@ -877,7 +910,7 @@ def test_gamma_perp_follows_the_running_max_of_gamma():
     for rec in res.trace:
         gamma_max = max(gamma_max, rec.gamma)
         below_max += rec.gamma < gamma_max
-        assert rec.gamma_perp == t.perp_scale(2.0, 1.0, rec.gamma, gamma_max)
+        assert rec.gamma_perp == denseinit.perp_scale(2.0, 1.0, rec.gamma, gamma_max)
     assert below_max > 0
     assert res.max_gamma == gamma_max
 

@@ -17,6 +17,11 @@ WRAPPERS = ("solve_triangular", "cholesky", "block", "tril", "triu")
 # bundles another OpenBLAS build, whose routines can round differently (see
 # the spectral module's docstring).
 SCIPY_LAPACK = ("dpstrf", "dtrtrs", "dpotrf")
+# What a caller needs to build a problem, solve it and read the result.
+TOP_LEVEL = (
+    "minimize", "SolverConfig", "SolverResult", "IterationRecord",
+    "Problem", "registry", "get", "fd_check", "PROBLEM_NAMES", "__version__",
+)
 
 
 @pytest.mark.parametrize("name", ["trlbfgs"] + [f"trlbfgs.{m}" for m in SUBMODULES])
@@ -24,6 +29,12 @@ def test_every_public_name_exists(name):
     # A name left in __all__ after its definition was deleted fails here, not at a caller.
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_the_package_exports_only_the_solve_and_problem_api():
+    # The kernels are reached through their modules, so the package's
+    # names do not grow with them.
+    assert sorted(trlbfgs.__all__) == sorted(TOP_LEVEL)
 
 
 def _called_names():

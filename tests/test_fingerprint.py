@@ -1,7 +1,7 @@
 """The n = 20 fingerprint sweep against the lines recorded in ``fingerprint_n20.txt``.
 
 The recorded file fixes the round-off of one environment, the one its
-``# key value`` header names (``fingerprint.environment``).  Where the
+``# key value`` header names (``trlbfgs.bench.environment``).  Where the
 environment matches the header, any difference fails and names the first
 solve that moved.  Elsewhere a sweep that matches still passes, and one
 that does not is skipped with the differences in its reason: another numpy
@@ -11,6 +11,8 @@ the file with the command in ``fingerprint.py``.
 """
 
 import pytest
+
+from trlbfgs.bench import environment
 
 import fingerprint
 
@@ -44,7 +46,7 @@ def test_n20_sweep_matches_the_recorded_fingerprint(capsys):
         f"  recorded {recorded[first]}\n           {recorded[first + 1]}\n"
         f"  now      {swept[first]}\n           {swept[first + 1]}"
     )
-    env = fingerprint.environment()
+    env = environment()
     changed = ", ".join(f"{k} {header.get(k)} -> {v}" for k, v in env.items() if header.get(k) != v)
     if changed:
         pytest.skip(f"environment differs from the recorded one ({changed}); {message}")

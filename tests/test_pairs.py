@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from trlbfgs import PairBuffer, pairs
+from trlbfgs import pairs
+from trlbfgs.pairs import PairBuffer
 
 from oracles import C3, fill_buffer, random_pairs
 

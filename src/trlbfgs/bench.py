@@ -26,7 +26,7 @@ count is fixed when numpy loads, so set ``OPENBLAS_NUM_THREADS`` (or
 ``bench run`` records in the ``meta`` of ``records.json`` these variables,
 the CPU count, the CPUs the process may run on (``nproc``), and what the
 round-off depends on (``environment``): the library versions, numpy's and
-scipy's BLAS builds and the OpenBLAS core.
+scipy's BLAS builds and the OpenBLAS core of each.
 
 In a process that may run on two CPUs or more, a solve has one second
 thread.  It splits the passes over the stored pairs by the rule of
@@ -272,9 +272,9 @@ def _blas(config) -> str:
     return f"{deps.get('name')} {deps.get('version')}"
 
 
-def _openblas_core() -> str:
-    """The kernel set numpy's bundled OpenBLAS chose for this CPU when it loaded, or ``unknown``."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+def _openblas_core(package) -> str:
+    """The kernel set ``package``'s bundled OpenBLAS chose for this CPU when it loaded, or ``unknown``."""
+    for path in (Path(package.__file__).parent.parent / f"{package.__name__}.libs").glob("libscipy_openblas*"):
         lib = ctypes.CDLL(str(path))
         for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
             corename = getattr(lib, symbol, None)
@@ -288,10 +288,12 @@ def environment() -> dict[str, str]:
     """What a solve's round-off depends on besides the code.
 
     numpy's and scipy's versions fix their summation and SIMD loops, each
-    package's BLAS its dot products and LAPACK calls, and the OpenBLAS core
-    the kernels it runs on this CPU.  The BLAS thread count is left out: the
-    n = 20 sweep of ``tests/fingerprint.py`` prints the same lines with one
-    thread, two, or unset.
+    package's BLAS its dot products and LAPACK calls, and each package's
+    OpenBLAS core the kernels it runs on this CPU.  They are two builds:
+    numpy's forms the products with the pairs, and scipy's own runs
+    ``dpstrf``, ``dtrtrs`` and ``dpotrf``.  The BLAS thread count is left
+    out: the n = 20 sweep of ``tests/fingerprint.py`` prints the same lines
+    with one thread, two, or unset.
     """
     return {
         "python": platform.python_version(),
@@ -299,7 +301,8 @@ def environment() -> dict[str, str]:
         "scipy": scipy.__version__,
         "numpy_blas": _blas(np.show_config),
         "scipy_blas": _blas(scipy.show_config),
-        "blas_core": _openblas_core(),
+        "blas_core": _openblas_core(np),
+        "scipy_blas_core": _openblas_core(scipy),
     }
 
 

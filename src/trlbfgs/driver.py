@@ -39,10 +39,12 @@ runs on it while g is formed at the same point on the calling thread.  g is
 used only if the step is accepted; at a rejected step, or where f is not
 finite, it and any exception it raised are dropped, so every result, count
 and trace is the one the serial path gives.  The constant, 1.5 ms, is about
-15 handoffs to the second thread (0.1 ms each on a 2-CPU host) and sits
-between ``ext_powell`` at n = 10^5, f(x0) about 0.3 ms, which steps faster
-serially, and ``ext_rosenbrock`` and ``broyden_tridiag`` at n = 10^6, f(x0)
-6 to 22 ms, where the overlap pays (about 18% a step on the latter).  f,
+70 handoffs to the second thread (about 0.02 ms each on a 2-CPU host, see
+the ``pairs`` docstring) and sits between ``ext_powell`` at n = 10^5, f(x0)
+about 0.3 ms, and ``ext_rosenbrock`` and ``broyden_tridiag`` at n = 10^6,
+f(x0) 6 to 22 ms, where the overlap pays (about 18% a step on the latter).
+With the handoff this cheap, a constant of 0.2 ms, which overlaps
+``ext_powell`` at n = 10^5 too, showed no clear gain there, so it stays.  f,
 not g, goes to the second thread because g allocates more: 213 against
 221 MB peak RSS on ``ext_rosenbrock`` at n = 10^6.
 
@@ -66,7 +68,6 @@ The trust-region constants are fixed, because every caller uses one value:
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -74,7 +75,7 @@ import numpy as np
 
 from .denseinit import InverseRep, build_inverse, perp_scale, unconstrained_norm, unconstrained_step
 from . import pairs
-from .pairs import PairBuffer, concurrently
+from .pairs import PairBuffer, Worker, concurrently
 from .spectral import SpectralFactorization, apply_P_par_T, factorize, perp_norm_sq, sc_norm
 from .subproblem import assemble_step, model_reduction, solve_parallel, solve_perp_beta
 
@@ -364,17 +365,17 @@ def minimize(problem, x0, config: SolverConfig | None = None) -> SolverResult:
     # usable (see the pairs docstring).
     if pairs._usable_cpus() < 2:
         return _minimize(problem, x0, config, None)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return _minimize(problem, x0, config, pool)
+    with Worker() as worker:
+        return _minimize(problem, x0, config, worker)
 
 
-def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
+def _minimize(problem, x0, config: SolverConfig | None, worker: Worker | None) -> SolverResult:
     config = config if config is not None else SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1:
         raise ValueError(f"x0 must be one-dimensional, got shape {x.shape}")
     n = x.size
-    buffer = PairBuffer(n, config.m, pool)
+    buffer = PairBuffer(n, config.m, worker)
 
     trace: list[IterationRecord] = []
     # Both scales are GAMMA0_PERP until a pair is stored; the maxima range
@@ -413,9 +414,9 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
     fx = float(problem.eval_f(x))
     t1 = time.perf_counter()
     g = np.asarray(problem.eval_g(x), dtype=float)
-    # f at each trial point runs on the pool's thread while g is formed
+    # f at each trial point runs on the worker's thread while g is formed
     # here, when both evaluations cost well more than a handoff to it.
-    overlap = pool is not None and min(t1 - t0, time.perf_counter() - t1) >= OVERLAP_MIN_S
+    overlap = worker is not None and min(t1 - t0, time.perf_counter() - t1) >= OVERLAP_MIN_S
     f_evals = g_evals = 1
     if not (math.isfinite(fx) and np.all(np.isfinite(g))):
         return result(STATUS_FAILED, fx, g, 0, 0, f_evals, g_evals)
@@ -481,7 +482,7 @@ def _minimize(problem, x0, config: SolverConfig | None, pool) -> SolverResult:
         if overlap:
             # (g, exception) at x_trial; used only if the step is accepted.
             f_trial, g_trial = concurrently(
-                pool, lambda: float(problem.eval_f(x_trial)), lambda: _captured(problem.eval_g, x_trial)
+                worker, lambda: float(problem.eval_f(x_trial)), lambda: _captured(problem.eval_g, x_trial)
             )
         else:
             f_trial, g_trial = float(problem.eval_f(x_trial)), None

@@ -11,26 +11,29 @@ else in the package reads the rows.
 A pair is accepted when ``s^T y > C3 ||s|| ||y||``.  ``C3`` is fixed at
 1e-8 because every caller uses that value.
 
-The S rows and the Y rows are independent, so a buffer given a thread
-pool, at ``n >= SPLIT_MIN_N`` (2^19), runs the S half of every pass over
-them on the pool's thread while the calling thread runs its Y half:
-``try_push``'s eviction shift, Gram-row products and row write per side,
-``vt_dot``'s ``S^T x`` and ``Y^T x`` and ``v_dot``'s ``S w1`` and ``Y w2``.
-Below that n, or without a pool, both halves run in series on the calling
-thread.  Each BLAS call is the same single call either way, so every float
-is the same.  The threshold sits between two measured solves, with one BLAS
-thread on a 2-CPU host: the split took ``rosenbrock-1m`` (n = 10^6) from
-80.7 to 72.7 ms a step, and at 2^16 it never met the gain rule on
-``ext_powell`` at n = 10^5.  With two BLAS threads it showed neither gain
-nor cost.
+The S rows and the Y rows are independent, so a buffer given a
+:class:`Worker`, at ``n >= SPLIT_MIN_N`` (2^16), runs the S half of every
+pass over them on the worker's thread while the calling thread runs its Y
+half: ``try_push``'s eviction shift, Gram-row products and row write per
+side, ``vt_dot``'s ``S^T x`` and ``Y^T x`` and ``v_dot``'s ``S w1`` and
+``Y w2``.  Below that n, or without a worker, both halves run in series on
+the calling thread.  Each BLAS call is the same single call either way, so
+every float is the same.  2^16 is the smallest power of two at which the
+split pays on both problems measured, with one BLAS thread on a 2-CPU
+host.  The split's time per step over the serial one, at n = 2^13 to
+2^17, read 1.45, 1.22, 0.98, 0.95 and 0.84 on ``ext_powell`` and 1.33,
+1.11, 1.03, 0.88 and 0.86 on ``broyden_tridiag`` (6 solves a side).
 
 ``concurrently`` runs the two halves; the driver uses it too, by its own
-rule, to compute f beside g.  ``minimize`` opens a one-thread pool per
-solve, when the process may run on two CPUs or more, and passes it to both.
-A handoff to that thread costs about 0.085 ms, against 0.23 to 0.27 ms for
-a thread started and joined per call.  One thread also means one malloc
-arena: with a thread per call, ``rosenbrock-1m``'s peak RSS read 225.4 MB
-instead of 213.8 MB in 4 of 9 runs, from arenas not yet released.
+rule, to compute f beside g.  ``minimize`` opens one worker per solve,
+when the process may run on two CPUs or more, and passes it to both.  Its
+thread starts on the first handoff, so a solve that never hands off starts
+none.  A handoff is one lock release and one lock acquire, about 0.02 ms
+(20 to 26 us), against 0.07 to 0.09 ms through a one-thread
+``ThreadPoolExecutor`` and 0.23 to 0.27 ms for a thread started and joined
+per call.  One thread also means one malloc arena: with a thread per call,
+``rosenbrock-1m``'s peak RSS read 225.4 MB instead of 213.8 MB in 4 of 9
+runs, from arenas not yet released.
 
 The halves call ``np.dot``, not ``@``: ``matmul`` holds the GIL through its
 gemv, so two concurrent ``(5, 10^6)`` products took 10.5 ms with ``@``
@@ -41,17 +44,18 @@ figures are in ``CHANGES.md``.
 """
 
 import contextvars
+import functools
 import math
 import os
-from concurrent.futures import wait
+import threading
 
 import numpy as np
 
 __all__ = ["PairBuffer"]
 
 C3 = 1e-8
-# Dimension from which a buffer given a pool runs the S half of each pass on its thread.
-SPLIT_MIN_N = 2**19
+# Dimension from which a buffer given a worker runs the S half of each pass on its thread.
+SPLIT_MIN_N = 2**16
 
 
 def _usable_cpus() -> int:
@@ -61,23 +65,87 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def concurrently(pool, a, b):
-    """``(a(), b())``, with ``a`` on ``pool``'s thread while ``b`` runs on this one.
+class Worker:
+    """One thread that runs the first call of :func:`concurrently`.
+
+    The thread starts on the first handoff and is joined when the worker's
+    ``with`` block ends, on an exception too.  A handoff is one ``Lock``
+    release to the thread and one ``Lock`` acquire back.  One caller at a
+    time may hand work to a worker.
+    """
+
+    def __init__(self):
+        # Each lock is held while its side has nothing to take: _ready
+        # until a task is set, _done until the task has ended.
+        self._ready = threading.Lock()
+        self._done = threading.Lock()
+        self._ready.acquire()
+        self._done.acquire()
+        self._task = None
+        self._outcome = None
+        self._thread = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        """End the thread, after the task it is running, if it was started."""
+        if self._thread is not None:
+            # With no task set, the thread returns.
+            self._ready.release()
+            self._thread.join()
+            self._thread = None
+
+    def _serve(self):
+        while True:
+            self._ready.acquire()
+            # The task is dropped before the next wait, so that what its
+            # closure holds, such as an n-vector, is not kept alive.
+            task, self._task = self._task, None
+            if task is None:
+                return
+            try:
+                self._outcome = task(), None
+            except BaseException as exc:  # raised again on the calling thread
+                self._outcome = None, exc
+            task = None
+            self._done.release()
+
+    def hand(self, task):
+        """Start ``task()`` on the thread, which is started on the first call."""
+        if self._thread is None:
+            # A daemon, so that a worker used outside ``with`` cannot hold up exit.
+            self._thread = threading.Thread(target=self._serve, name="trlbfgs-worker", daemon=True)
+            self._thread.start()
+        self._task = task
+        self._ready.release()
+
+    def wait(self):
+        """Wait for the task handed last to end, and return ``(result, exception)``."""
+        self._done.acquire()
+        outcome, self._outcome = self._outcome, None
+        return outcome
+
+
+def concurrently(worker: Worker, a, b):
+    """``(a(), b())``, with ``a`` on ``worker``'s thread while ``b`` runs on this one.
 
     ``a`` runs in a copy of the calling thread's context, so settings kept
     in context variables, such as ``np.errstate``, govern it as they govern
-    ``b``.  ``a`` must not hand work to ``pool`` itself: with one thread it
-    would wait on its own.  ``a`` has finished before this returns or
-    raises, and an exception from either call is raised here (``b``'s
-    first).  Each caller decides by its own rule whether the overlap pays
-    for the handoff.
+    ``b``.  ``a`` must not hand work to ``worker`` itself: it would wait on
+    its own thread.  ``a`` has finished before this returns or raises, and
+    an exception from either call is raised here (``b``'s first).  Each
+    caller decides by its own rule whether the overlap pays for the
+    handoff.
     """
-    future = pool.submit(contextvars.copy_context().run, a)
+    worker.hand(functools.partial(contextvars.copy_context().run, a))
     try:
         b_result = b()
     finally:
-        wait((future,))
-    return future.result(), b_result
+        a_result, error = worker.wait()
+    if error is not None:
+        raise error
+    return a_result, b_result
 
 
 def _push_row(rows: np.ndarray, new: np.ndarray, k: int, evict: bool, s: np.ndarray, y: np.ndarray):
@@ -108,17 +176,17 @@ class PairBuffer:
 
     ``S``, ``Y`` and the Gram blocks are views of preallocated storage: the
     next accepted pair may overwrite them, so copy what must outlive a push.
-    ``pool``, a one-thread executor or None, runs the S half of each pass
-    when ``n >= SPLIT_MIN_N``; the buffer never shuts it down.
+    ``worker``, a :class:`Worker` or None, runs the S half of each pass
+    when ``n >= SPLIT_MIN_N``; the buffer never ends its thread.
     """
 
-    def __init__(self, n: int, m: int, pool=None):
+    def __init__(self, n: int, m: int, worker: Worker | None = None):
         if n < 1 or m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
         self.n = int(n)
         self.m = int(m)
-        # The executor that runs the S half of each pass, if the pass splits.
-        self._pool = pool if self.n >= SPLIT_MIN_N else None
+        # The worker that runs the S half of each pass, if the pass splits.
+        self._worker = worker if self.n >= SPLIT_MIN_N else None
         self.count = 0
         # Row i holds the i-th oldest pair, so S^T x is a contiguous gemv.
         self._s_rows = np.empty((self.m, self.n))
@@ -217,10 +285,10 @@ class PairBuffer:
         )
 
     def _in_halves(self, s_half, y_half):
-        """``(s_half(), y_half())``, with ``s_half`` on the pool's thread when the buffer has one."""
-        if self._pool is None:
+        """``(s_half(), y_half())``, with ``s_half`` on the worker's thread when the buffer has one."""
+        if self._worker is None:
             return s_half(), y_half()
-        return concurrently(self._pool, s_half, y_half)
+        return concurrently(self._worker, s_half, y_half)
 
     def strict_lower(self, size: int) -> np.ndarray:
         """Boolean mask of the strictly lower triangle of a size-by-size matrix, ``size <= 2m``."""

@@ -60,7 +60,7 @@ def test_run_then_profile_round_trip(tmp_path, capsys):
     assert set(env["blas_threads"]) == set(BLAS_THREAD_VARS)
     # What rounds a solve, under the fingerprint header's keys, and the CPUs.
     rounding = bench.environment()
-    assert {"numpy_blas", "scipy_blas", "blas_core"} <= set(rounding)
+    assert {"numpy_blas", "scipy_blas", "blas_core", "scipy_blas_core"} <= set(rounding)
     cpus = {"cpu_count": os.cpu_count(), "nproc": pairs._usable_cpus()}
     assert env == {**rounding, "blas_threads": env["blas_threads"], **cpus}
     records = payload["records"]

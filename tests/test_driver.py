@@ -497,8 +497,8 @@ def test_fingerprint_sweep_prints_identical_lines_twice(capsys, monkeypatch):
     force_threads(monkeypatch)
     ran = {"f": set(), "S": set()}
     for module, what in ((driver, "f"), (pairs, "S")):
-        def spy(pool, a, b, real=module.concurrently, threads=ran[what]):
-            return real(pool, lambda: threads.add(threading.current_thread()) or a(), b)
+        def spy(worker, a, b, real=module.concurrently, threads=ran[what]):
+            return real(worker, lambda: threads.add(threading.current_thread()) or a(), b)
 
         monkeypatch.setattr(module, "concurrently", spy)
     fingerprint.main(args + ["--keep-trace"])
@@ -535,7 +535,9 @@ def test_fingerprint_script_runs_only_with_one_blas_thread(threads, code):
         assert len(proc.stdout.splitlines()) == (len(t.PROBLEM_NAMES) + len(fingerprint.COSINE_STARTS)) * len(fingerprint.SPECS)
 
 
-@pytest.mark.parametrize("raises", ["", "pairs", "f"], ids=["returns", "raises", "f_raises_on_the_worker"])
+@pytest.mark.parametrize(
+    "raises", ["", "pairs", "f", "g"], ids=["returns", "raises", "f_raises_on_the_worker", "g_raises_on_the_caller"]
+)
 def test_no_thread_outlives_a_split_solve(monkeypatch, raises):
     force_threads(monkeypatch)
     real_dot = np.dot
@@ -559,7 +561,16 @@ def test_no_thread_outlives_a_split_solve(monkeypatch, raises):
             raise FloatingPointError("f fails on the worker")
         return base.eval_f(x)
 
-    prob = t.Problem("tracked", base.n, f, base.eval_g, base.x0)
+    g_threads = []
+
+    def g(x):
+        g_threads.append(threading.current_thread())
+        # Raised at the first accepted step after the 10th gradient.
+        if raises == "g" and len(g_threads) > 10:
+            raise FloatingPointError("g fails on the caller")
+        return base.eval_g(x)
+
+    prob = t.Problem("tracked", base.n, f, g, base.x0)
     start = threading.active_count()
     if raises:
         with pytest.raises(FloatingPointError, match="fails"):
@@ -574,16 +585,34 @@ def test_no_thread_outlives_a_split_solve(monkeypatch, raises):
     assert f_threads[0] is here and f_threads[-1] is not here
     workers = {thread for thread in f_threads if thread is not here}
     assert len(workers) == 1 and dot_threads == workers | {here}
+    assert set(g_threads) == {here}
+    (worker,) = workers
+    assert not worker.is_alive()
 
 
-def test_a_solve_with_one_usable_cpu_builds_no_executor(monkeypatch):
-    # Every pass would split and f would move to a worker, had the solve a pool.
+def test_a_solve_with_one_usable_cpu_builds_no_worker(monkeypatch):
+    # Every pass would split and f would move to a worker, had the solve one.
     base = t.get("ext_rosenbrock", 20)
     serial = t.minimize(base, base.x0)
     force_threads(monkeypatch)
     monkeypatch.setattr(pairs, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(driver, "ThreadPoolExecutor", lambda *_, **__: pytest.fail("an executor was built"))
+    monkeypatch.setattr(driver, "Worker", lambda *_, **__: pytest.fail("a worker was built"))
     _assert_same_solve(serial, t.minimize(base, base.x0))
+
+
+def test_a_solve_that_never_hands_off_starts_no_thread(monkeypatch):
+    # Two usable CPUs give the solve a worker, but n = 1000 is below
+    # SPLIT_MIN_N and f and g cost nothing on a clock that never moves, so
+    # no handoff is made and the worker's thread is never started.
+    base = t.get("ext_rosenbrock", 1000)
+    serial = t.minimize(base, base.x0)
+    monkeypatch.setattr(pairs, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(driver, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    monkeypatch.setattr(threading, "Thread", lambda *_, **__: pytest.fail("a thread was started"))
+    built = []
+    monkeypatch.setattr(driver, "Worker", lambda: built.append(pairs.Worker()) or built[-1])
+    _assert_same_solve(serial, t.minimize(base, base.x0))
+    assert len(built) == 1 and serial.total_steps > 0
 
 
 def _assert_same_solve(a, b):
@@ -702,7 +731,7 @@ def test_f_moves_to_a_worker_only_when_both_evaluations_at_x0_cost_a_thread(monk
         monkeypatch.setattr(threading, "Thread", lambda *_, **__: pytest.fail("f moved to a worker"))
     overlapped = []
     real = driver.concurrently
-    monkeypatch.setattr(driver, "concurrently", lambda pool, a, b: overlapped.append(1) or real(pool, a, b))
+    monkeypatch.setattr(driver, "concurrently", lambda worker, a, b: overlapped.append(1) or real(worker, a, b))
     _assert_same_solve(serial, t.minimize(prob, prob.x0))
     assert len(overlapped) == (serial.total_steps if overlaps else 0)
 

@@ -1,7 +1,8 @@
 import math
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 
 import numpy as np
 import pytest
@@ -175,8 +176,8 @@ def test_an_exception_in_either_half_reaches_the_caller_after_the_join(monkeypat
             raise FloatingPointError("Y half fails")
         return real_dot(a, b)
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        buf = PairBuffer(n, m, pool)
+    with pairs.Worker() as worker:
+        buf = PairBuffer(n, m, worker)
         for s, y in random_pairs(rng, n, m):
             assert buf.try_push(s, y)
         (s, y), = random_pairs(rng, n, 1)
@@ -187,12 +188,12 @@ def test_an_exception_in_either_half_reaches_the_caller_after_the_join(monkeypat
                 call()
             # The S half had ended before the exception reached the caller.
             assert s_threads and len(s_ended) == len(s_threads)
-    # The S rows were multiplied on the pool's thread, never the caller's.
+    # The S rows were multiplied on the worker's thread, never the caller's.
     assert threading.current_thread() not in s_threads
 
 
 def test_a_pass_stays_on_the_calling_thread_with_one_usable_cpu(monkeypatch):
-    # With one usable CPU minimize gives its buffer no pool, and a buffer
+    # With one usable CPU minimize gives its buffer no worker, and a buffer
     # without one runs every pass here, whatever its n.
     rng = np.random.default_rng(6)
     n, m = 30, 3
@@ -200,7 +201,7 @@ def test_a_pass_stays_on_the_calling_thread_with_one_usable_cpu(monkeypatch):
     serial = fill_buffer(rng, n, len(pairs_in), m=m, pairs=pairs_in)
 
     def no_thread(*_, **__):
-        pytest.fail("a pass split without a pool")
+        pytest.fail("a pass split without a worker")
 
     monkeypatch.setattr(pairs, "SPLIT_MIN_N", 1)
     monkeypatch.setattr(threading, "Thread", no_thread)
@@ -212,8 +213,8 @@ def test_a_pass_stays_on_the_calling_thread_with_one_usable_cpu(monkeypatch):
 
 @pytest.mark.parametrize("n", [30, 29])
 def test_a_buffer_given_a_pool_runs_its_s_half_on_the_pools_thread(monkeypatch, n):
-    # Bitwise the same blocks and V^T x as a buffer without a pool; below
-    # SPLIT_MIN_N (here 30) the buffer keeps no pool and runs every pass here.
+    # Bitwise the same blocks and V^T x as a buffer without a worker; below
+    # SPLIT_MIN_N (here 30) the buffer keeps no worker and runs every pass here.
     rng = np.random.default_rng(8)
     m = 3
     pairs_in = random_pairs(rng, n, m + 3)
@@ -229,24 +230,24 @@ def test_a_buffer_given_a_pool_runs_its_s_half_on_the_pools_thread(monkeypatch, 
 
     monkeypatch.setattr(pairs.np, "dot", dot)
     x = rng.standard_normal(n)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        buf = PairBuffer(n, m, pool)
+    with pairs.Worker() as worker:
+        buf = PairBuffer(n, m, worker)
         for s, y in pairs_in:
             buf.try_push(s, y)
         vt_x = buf.vt_dot(x)
-        worker = pool.submit(threading.current_thread).result()
+        worker_thread = pairs.concurrently(worker, threading.current_thread, lambda: None)[0]
     assert buf.count == serial.count == m
     for block in ("gram_SS", "gram_SY", "gram_YY"):
         assert getattr(buf, block).tobytes() == getattr(serial, block).tobytes()
     assert vt_x.tobytes() == serial.vt_dot(x).tobytes()
-    assert s_threads == ({worker} if n >= 30 else {threading.current_thread()})
+    assert s_threads == ({worker_thread} if n >= 30 else {threading.current_thread()})
 
 
 @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no_pool"])
 def test_v_dot_is_bitwise_the_two_column_products_at_every_count(monkeypatch, pooled):
     # (S w[:k], Y w[k:]) as @ forms them from the stored columns, for k = 1
-    # to m; with a pool, at SPLIT_MIN_N (here 30), the S half runs on the
-    # pool's thread, as every other pass over the rows does.
+    # to m; with a worker, at SPLIT_MIN_N (here 30), the S half runs on the
+    # worker's thread, as every other pass over the rows does.
     rng = np.random.default_rng(9)
     n, m = 30, 4
     monkeypatch.setattr(pairs, "SPLIT_MIN_N", 30)
@@ -259,9 +260,9 @@ def test_v_dot_is_bitwise_the_two_column_products_at_every_count(monkeypatch, po
         return real_dot(*args, **kwargs)
 
     monkeypatch.setattr(pairs.np, "dot", dot)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        buf = PairBuffer(n, m, pool if pooled else None)
-        worker = pool.submit(threading.current_thread).result()
+    with pairs.Worker() as worker:
+        buf = PairBuffer(n, m, worker if pooled else None)
+        worker_thread = pairs.concurrently(worker, threading.current_thread, lambda: None)[0]
         for k, (s, y) in enumerate(random_pairs(rng, n, m), start=1):
             assert buf.try_push(s, y) and buf.count == k
             w = rng.standard_normal(2 * k)
@@ -269,7 +270,7 @@ def test_v_dot_is_bitwise_the_two_column_products_at_every_count(monkeypatch, po
             sw, yw = buf.v_dot(w)
             assert sw.tobytes() == (buf.S @ w[:k]).tobytes()
             assert yw.tobytes() == (buf.Y @ w[k:]).tobytes()
-            assert s_threads == ({worker} if pooled else {threading.current_thread()})
+            assert s_threads == ({worker_thread} if pooled else {threading.current_thread()})
 
 
 def test_concurrently_runs_the_first_call_on_a_worker_under_the_callers_context():
@@ -279,22 +280,91 @@ def test_concurrently_runs_the_first_call_on_a_worker_under_the_callers_context(
         threads.append(threading.current_thread())
         return float(np.exp(np.array([1000.0]))[0])
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with pairs.Worker() as worker:
         with np.errstate(over="ignore"):
-            assert pairs.concurrently(pool, overflow, lambda: 2) == (math.inf, 2)
+            assert pairs.concurrently(worker, overflow, lambda: 2) == (math.inf, 2)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            pairs.concurrently(pool, overflow, lambda: 2)
+            pairs.concurrently(worker, overflow, lambda: 2)
     assert len(threads) == 2 and threading.current_thread() not in threads
 
 
 def test_one_second_thread_serves_a_block_and_is_joined_when_it_ends():
-    # Every handoff to a one-thread pool, the one a solve opens, runs on
-    # that one thread, which is joined when the pool's block ends.
+    # Every handoff to a worker, the one a solve opens, runs on its one
+    # thread, which is joined when the worker's block ends.
     start = threading.active_count()
     seen = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with pairs.Worker() as worker:
         for _ in range(3):
-            seen.append(pairs.concurrently(pool, threading.current_thread, lambda: None)[0])
+            seen.append(pairs.concurrently(worker, threading.current_thread, lambda: None)[0])
         alive = threading.active_count()
     assert alive == start + 1 and threading.active_count() == start
     assert len(set(seen)) == 1 and seen[0] is not threading.current_thread()
+
+
+def test_after_an_interrupt_in_the_callers_half_the_workers_half_has_ended_and_the_worker_serves_on():
+    ended = []
+
+    def slow():
+        time.sleep(0.05)  # still running when the caller's half is interrupted
+        ended.append(threading.current_thread())
+        return "a"
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    with pairs.Worker() as worker:
+        with pytest.raises(KeyboardInterrupt):
+            pairs.concurrently(worker, slow, interrupted)
+        assert len(ended) == 1
+        assert pairs.concurrently(worker, lambda: "next", lambda: "b") == ("next", "b")
+    assert ended[0] is not threading.current_thread()
+    ended[0].join(timeout=10)
+    assert not ended[0].is_alive()
+
+
+def test_handoffs_keep_their_results_apart_under_fast_thread_switching():
+    # Three callers, each with its own worker: six threads on fewer CPUs,
+    # switching every microsecond.  A result handed to the wrong call, or
+    # read before its task ended, shows as a mismatch.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mismatches = []
+
+        def drive(k):
+            with pairs.Worker() as worker:
+                for i in range(300):
+                    got = pairs.concurrently(worker, lambda: (k, i), lambda: i)
+                    if got != ((k, i), i):
+                        mismatches.append(got)
+
+        callers = [threading.Thread(target=drive, args=(k,)) for k in range(3)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        assert mismatches == []
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_worker_keeps_nothing_that_a_finished_handoff_held():
+    # Neither the task's closure nor its result outlives the call, so a
+    # pass never keeps an n-vector alive until the next handoff.
+    held = np.ones(4)
+    held_ref = weakref.ref(held)
+    made = []
+
+    # A default, not a closure cell, so that only the task holds the vector.
+    def task(vector=held):
+        doubled = vector * 2.0
+        made.append(weakref.ref(doubled))
+        return doubled
+
+    del held
+    with pairs.Worker() as worker:
+        result, _ = pairs.concurrently(worker, task, lambda: None)
+        assert result is not None and made[0]() is result
+        del task, result
+        assert held_ref() is None and made[0]() is None
